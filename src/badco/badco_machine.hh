@@ -5,14 +5,10 @@
  * the detailed core because it processes one node — not one µop, not
  * one cycle — per step.
  *
- * Timing semantics: nodes execute in order, each consuming its
- * intrinsic weight of core cycles. A node's request issues at the
- * machine's local clock, after waiting for (a) the completion of the
- * load it depends on, (b) the ROB window — the machine cannot run
- * more than robSize µops past an incomplete blocking load — and
- * (c) a free outstanding-request slot (L1 MSHR mirror). The thread
- * restarts at the end of the model, like the paper's multiprogram
- * protocol.
+ * A BadcoMachine owns the state of one lane of the BADCO step kernel
+ * (badco/badco_step.hh), which defines the timing semantics; the
+ * batched cell engine (sim/batch.hh) steps many lanes through the
+ * same kernel.
  */
 
 #ifndef WSEL_BADCO_BADCO_MACHINE_HH
@@ -22,6 +18,7 @@
 #include <vector>
 
 #include "badco/badco_model.hh"
+#include "badco/badco_step.hh"
 #include "mem/uncore.hh"
 
 namespace wsel
@@ -32,8 +29,6 @@ struct BadcoMachineStats
 {
     std::uint64_t uops = 0;          ///< µops of progress so far
     std::uint64_t requests = 0;      ///< uncore requests replayed
-    std::uint64_t depStallCycles = 0;    ///< dependency waits
-    std::uint64_t windowStallCycles = 0; ///< ROB-window waits
     std::uint64_t cyclesToTarget = 0;    ///< clock when target hit
 };
 
@@ -61,6 +56,10 @@ class BadcoMachine
                  std::uint32_t window = 0,
                  std::uint32_t max_outstanding = 16);
 
+    /** env_ points into this machine's own slabs. */
+    BadcoMachine(const BadcoMachine &) = delete;
+    BadcoMachine &operator=(const BadcoMachine &) = delete;
+
     /**
      * Execute nodes until the local clock reaches @p until (the end
      * of the current simulation quantum).
@@ -76,64 +75,33 @@ class BadcoMachine
     void stopAtTarget(bool stop) { stopAtTarget_ = stop; }
 
     /** True once target_uops µops of progress were made. */
-    bool reachedTarget() const { return stats_.cyclesToTarget != 0; }
+    bool reachedTarget() const { return lane_.cyclesToTarget != 0; }
 
     /** IPC over the first target_uops µops. */
     double ipc() const;
 
     /** Local clock in core cycles. */
-    std::uint64_t localClock() const { return clock_; }
+    std::uint64_t localClock() const { return lane_.clock; }
 
-    const BadcoMachineStats &stats() const { return stats_; }
-    std::uint32_t coreId() const { return coreId_; }
+    /** requests counts every node issued: each restart walked
+     *  all of the model's nodes. */
+    BadcoMachineStats stats() const
+    {
+        return {lane_.uops,
+                lane_.restarts * env_.model->nodeWeight.size() +
+                    lane_.node,
+                lane_.cyclesToTarget};
+    }
+    std::uint32_t coreId() const { return env_.core; }
 
   private:
-    void step();
-    void expireOutstanding();
-    void checkTarget();
-
-    const BadcoModel &model_;
     UncoreIf &uncore_;
-    const std::uint32_t coreId_;
-    const std::uint64_t targetUops_;
-    const std::uint32_t window_;
-    const std::uint32_t maxOutstanding_;
-
-    /** @name Raw SoA pointers into model_ (hot node walk). */
-    /** @{ */
-    std::size_t nodeCount_ = 0;
-    const std::uint32_t *nodeWeight_ = nullptr;
-    const std::uint32_t *nodeUops_ = nullptr;
-    const std::uint64_t *nodeVaddr_ = nullptr;
-    const std::uint64_t *nodePc_ = nullptr;
-    const std::uint8_t *nodeType_ = nullptr;
-    const std::int64_t *nodeDependsOn_ = nullptr;
-    /** @} */
-
-    std::uint64_t clock_ = 0;
-    std::size_t nodeIdx_ = 0;
-    std::uint64_t totalUops_ = 0;
     bool stopAtTarget_ = false;
-
-    struct Outstanding
-    {
-        std::uint64_t completion;
-        std::uint64_t uopMark; ///< machine µop count at issue
-    };
-    std::vector<Outstanding> outstanding_;
-
-    /**
-     * Min completion over outstanding_ (UINT64_MAX when empty):
-     * lets expireOutstanding() skip the scan while nothing can have
-     * completed yet.
-     */
-    std::uint64_t outstandingMin_ = UINT64_MAX;
-
-    /** Completion cycle of each load in the current iteration. */
-    std::vector<std::uint64_t> loadCompletion_;
-    std::uint64_t loadSeqInIter_ = 0;
-
-    BadcoMachineStats stats_;
+    std::vector<std::uint64_t> outComp_;
+    std::vector<std::uint64_t> outMark_;
+    std::vector<std::uint64_t> loadComp_;
+    badco::LaneEnv env_;
+    badco::LaneState lane_;
 };
 
 } // namespace wsel

@@ -176,13 +176,11 @@ ThreadPool::runOne(std::size_t self, bool helping)
         return false;
     const auto start = std::chrono::steady_clock::now();
     const double queued = seconds(start - t.enqueued);
-    {
-        obs::Span span(helping ? "exec.task.helped" : "exec.task");
-        t.body(); // group wrappers never let exceptions escape
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ran = seconds(end - start);
-    if (obs::metricsEnabled()) {
+    const bool metrics = obs::metricsEnabled();
+    // Count the task before its body runs: a group wrapper's last
+    // act releases TaskGroup::wait(), whose caller may read stats()
+    // at once and must see every task it waited for.
+    if (metrics) {
         static obs::Counter &run = obs::counter("scheduler.tasks_run");
         static obs::Counter &stole =
             obs::counter("scheduler.tasks_stolen");
@@ -190,15 +188,12 @@ ThreadPool::runOne(std::size_t self, bool helping)
             obs::counter("scheduler.tasks_helped");
         static obs::LatencyHistogram &queueNs =
             obs::histogram("scheduler.queue_ns");
-        static obs::LatencyHistogram &runNs =
-            obs::histogram("scheduler.run_ns");
         run.inc();
         if (stolen && !helping)
             stole.inc();
         if (helping)
             helped.inc();
         queueNs.record(start - t.enqueued);
-        runNs.record(end - start);
     }
     {
         std::lock_guard<std::mutex> g(statsMu_);
@@ -208,11 +203,23 @@ ThreadPool::runOne(std::size_t self, bool helping)
         if (helping)
             ++stats_.tasksHelped;
         stats_.queueSeconds += queued;
-        stats_.runSeconds += ran;
         stats_.maxQueueSeconds =
             std::max(stats_.maxQueueSeconds, queued);
-        stats_.maxRunSeconds = std::max(stats_.maxRunSeconds, ran);
     }
+    {
+        obs::Span span(helping ? "exec.task.helped" : "exec.task");
+        t.body(); // group wrappers never let exceptions escape
+    }
+    const auto end = std::chrono::steady_clock::now();
+    const double ran = seconds(end - start);
+    if (metrics) {
+        static obs::LatencyHistogram &runNs =
+            obs::histogram("scheduler.run_ns");
+        runNs.record(end - start);
+    }
+    std::lock_guard<std::mutex> g(statsMu_);
+    stats_.runSeconds += ran;
+    stats_.maxRunSeconds = std::max(stats_.maxRunSeconds, ran);
     return true;
 }
 

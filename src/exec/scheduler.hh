@@ -56,10 +56,10 @@ unsigned resolveJobs(std::size_t requested);
 /**
  * Snapshot of scheduler counters since pool construction.  Queue
  * latency is submit-to-start; run time is the task body only.
- * Counters are aggregated under one mutex per task completion, so a
- * snapshot is internally consistent: tasksRun + tasksCancelled
- * equals the number of submitted task bodies that have finished,
- * and tasksStolen + tasksHelped <= tasksRun.
+ * A task is counted under one mutex when its body starts (so a
+ * TaskGroup::wait() caller sees every task it waited for) and its
+ * run time is added when the body returns; tasksStolen + tasksHelped
+ * <= tasksRun in every snapshot.
  */
 struct SchedulerStats
 {

@@ -1,13 +1,10 @@
 #include "fidelity/persist_fidelity.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
+#include "stats/binio.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
 
@@ -34,151 +31,15 @@ constexpr std::uint64_t kMaxNameLen = 256;
 constexpr std::uint64_t kMaxRows = 1ULL << 48;
 constexpr std::uint64_t kMaxBatchRows = 1u << 20;
 
-void
-appendU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    appendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-appendChecksum(std::string &out)
-{
-    const std::uint64_t sum = persist::fnv1a(out);
-    appendU64(out, sum);
-}
-
-/** Bounds-checked little-endian reader over a loaded file. */
-class Reader
-{
-  public:
-    Reader(std::string_view data, const std::string &what)
-        : data_(data), what_(what)
-    {
-    }
-
-    void
-    expectMagic(const char (&magic)[8])
-    {
-        char got[8];
-        bytes(got, 8);
-        if (std::memcmp(got, magic, 8) != 0)
-            throw CacheInvalid(what_ + ": bad magic");
-    }
-
-    std::uint8_t
-    u8()
-    {
-        unsigned char b;
-        bytes(&b, 1);
-        return b;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        unsigned char b[4];
-        bytes(b, 4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        unsigned char b[8];
-        bytes(b, 8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated string");
-        std::string s(data_.substr(pos_, n));
-        pos_ += n;
-        return s;
-    }
-
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-    void
-    bytes(void *out, std::size_t n)
-    {
-        if (n > remaining())
-            throw CacheInvalid(what_ + ": truncated");
-        std::memcpy(out, data_.data() + pos_, n);
-        pos_ += n;
-    }
-
-  private:
-    std::string_view data_;
-    std::string what_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-slurp(const std::string &path, const std::string &what)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CacheInvalid(what + ": cannot open " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw CacheInvalid(what + ": read error on " + path);
-    return data;
-}
-
-/** Split off and verify the trailing checksum; returns the body. */
-std::string_view
-checkedBody(const std::string &data, const std::string &what)
-{
-    if (data.size() < 8)
-        throw CacheInvalid(what + ": too short for a checksum");
-    const std::string_view body(data.data(), data.size() - 8);
-    Reader tail(
-        std::string_view(data.data() + body.size(), 8), what);
-    const std::uint64_t want = tail.u64();
-    if (persist::fnv1a(body) != want)
-        throw CacheInvalid(what + ": checksum mismatch");
-    return body;
-}
+using persist::appendChecksum;
+using persist::appendF64;
+using persist::appendString;
+using persist::appendU32;
+using persist::appendU64;
+using persist::appendU8;
+using persist::checkedBody;
+using persist::Reader;
+using persist::slurp;
 
 void
 checkCount(std::uint64_t v, std::uint64_t max, const char *field,

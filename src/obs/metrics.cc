@@ -306,16 +306,35 @@ LatencyHistogram::quantileNs(double q) const
     q = std::clamp(q, 0.0, 1.0);
     const std::uint64_t want = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(q * static_cast<double>(n)));
+    const std::uint64_t min = minNs();
+    const std::uint64_t max = maxNs();
     std::uint64_t seen = 0;
     for (std::size_t b = 0; b < kBuckets; ++b) {
-        seen += buckets_[b].load(std::memory_order_relaxed);
-        if (seen >= want) {
-            // Upper bound of bucket b: 2^b ns (bucket 0 is [0,1]).
-            return b == 0 ? 1
-                          : (b >= 63 ? UINT64_MAX : (1ULL << b));
+        const std::uint64_t in_bucket =
+            buckets_[b].load(std::memory_order_relaxed);
+        if (seen + in_bucket < want) {
+            seen += in_bucket;
+            continue;
         }
+        // Bucket b holds [2^(b-1), 2^b - 1] ns (bucket 0 holds 0,
+        // the last one everything above); narrow it to the observed
+        // [min, max] and interpolate the rank linearly across it.
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        if (b > 0) {
+            lo = std::uint64_t{1} << (b - 1);
+            hi = b == kBuckets - 1 ? max : 2 * lo - 1;
+        }
+        lo = std::max(lo, min);
+        hi = std::min(hi, max);
+        if (hi <= lo)
+            return std::min(lo, max);
+        const double frac = static_cast<double>(want - seen) /
+                            static_cast<double>(in_bucket);
+        return lo + static_cast<std::uint64_t>(
+                        frac * static_cast<double>(hi - lo));
     }
-    return maxNs();
+    return max;
 }
 
 // -------------------------------------------------------------------

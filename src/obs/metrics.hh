@@ -14,7 +14,8 @@
  *  - Gauge: last-written double (queue depth, cells/sec).
  *  - LatencyHistogram: fixed log-2 buckets over nanoseconds
  *    (bucket b counts durations in [2^(b-1), 2^b)), plus exact
- *    count/sum/min/max and bucket-resolution quantiles.
+ *    count/sum/min/max and quantiles interpolated within a bucket
+ *    and clamped to the observed [min, max].
  *
  * Every mutating call is gated on the process-wide `enabled`
  * atomic *before any other work*, so with metrics disabled (the
@@ -214,9 +215,10 @@ class LatencyHistogram
     std::uint64_t bucket(std::size_t i) const;
 
     /**
-     * Bucket-resolution quantile: the upper bound (2^b ns) of the
-     * first bucket whose cumulative count reaches @p q in (0, 1].
-     * 0 when empty.
+     * Quantile @p q in (0, 1]: found in the first bucket whose
+     * cumulative count reaches it, interpolated linearly within
+     * that bucket's range clamped to [minNs(), maxNs()] — so it
+     * never leaves the observed range. 0 when empty.
      */
     std::uint64_t quantileNs(double q) const;
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "cache/tagscan.hh"
-#include "mem/numa.hh"
 #include "obs/metrics.hh"
 #include "stats/logging.hh"
 
@@ -159,34 +158,11 @@ BadcoBatchRunner::BadcoBatchRunner(
     cellPolicy_.resize(batchCells_);
     cellOut_.resize(batchCells_);
     cellLoads_.resize(batchCells_);
-    clock_.resize(lanes);
-    totalUops_.resize(lanes);
-    nodeIdx_.resize(lanes);
-    loadSeq_.resize(lanes);
-    outMin_.resize(lanes);
-    outCnt_.resize(lanes);
-    cyclesToTarget_.resize(lanes);
-    laneWindow_.resize(lanes);
-    laneModel_.resize(lanes);
+    lane_.resize(lanes);
+    laneEnv_.resize(lanes);
     loadOff_.resize(lanes);
     outComp_.resize(lanes * maxOutstanding_);
     outMark_.resize(lanes * maxOutstanding_);
-
-    // The resizes above first-touch every slab on this thread — the
-    // worker that will step the lanes — so kernel-default placement
-    // is already node-local; WSEL_NUMA=interleave re-spreads the
-    // big slabs instead (mem/numa.hh).
-    numa::placeSlab(clock_.data(),
-                    clock_.size() * sizeof(clock_[0]));
-    numa::placeSlab(totalUops_.data(),
-                    totalUops_.size() * sizeof(totalUops_[0]));
-    numa::placeSlab(cyclesToTarget_.data(),
-                    cyclesToTarget_.size() *
-                        sizeof(cyclesToTarget_[0]));
-    numa::placeSlab(outComp_.data(),
-                    outComp_.size() * sizeof(outComp_[0]));
-    numa::placeSlab(outMark_.data(),
-                    outMark_.size() * sizeof(outMark_[0]));
 
     if (wave_ > 1) {
         waveUnc_.reserve(wave_);
@@ -195,7 +171,7 @@ BadcoBatchRunner::BadcoBatchRunner(
         waveRot_.reserve(wave_);
         waveDone_.reserve(wave_);
         waveStepping_.reserve(wave_);
-        wavePhase_.reserve(wave_);
+        waveParked_.reserve(wave_);
         wavePend_.resize(wave_);
         waveResume_.reserve(wave_);
         wavePendCell_.reserve(wave_);
@@ -250,15 +226,11 @@ BadcoBatchRunner::add(std::uint64_t seed, std::uint32_t policy,
             WSEL_FATAL("degenerate BADCO machine limits");
         const std::size_t lane =
             static_cast<std::size_t>(b) * cores_ + k;
-        clock_[lane] = 0;
-        totalUops_[lane] = 0;
-        nodeIdx_[lane] = 0;
-        loadSeq_[lane] = 0;
-        outMin_[lane] = UINT64_MAX;
-        outCnt_[lane] = 0;
-        cyclesToTarget_[lane] = 0;
-        laneWindow_[lane] = window;
-        laneModel_[lane] = &model;
+        lane_[lane] = badco::LaneState{};
+        laneEnv_[lane] = badco::LaneEnv{
+            &model, targetUops_, window, maxOutstanding_, k,
+            outComp_.data() + lane * maxOutstanding_,
+            outMark_.data() + lane * maxOutstanding_, nullptr};
         loadOff_[lane] = load_watermark;
         load_watermark += model.loadCount;
     }
@@ -308,7 +280,7 @@ BadcoBatchRunner::run()
             bool all_done = true;
             for (std::uint32_t k = 0; k < cores_; ++k)
                 all_done =
-                    all_done && cyclesToTarget_[base + k] != 0;
+                    all_done && lane_[base + k].cyclesToTarget != 0;
             if (all_done)
                 break;
             t += quantum_;
@@ -317,15 +289,17 @@ BadcoBatchRunner::run()
                 if (k >= cores_)
                     k -= cores_;
                 const std::size_t lane = base + k;
-                if (clock_[lane] < t)
-                    runLane(lane, unc, k, t);
+                if (lane_[lane].clock < t)
+                    badco::runLane<false, false>(
+                        lane_[lane], laneEnv(lane, 0), unc, t);
             }
             first = first + 1 == cores_ ? 0 : first + 1;
         }
         double *out = cellOut_[b];
         for (std::uint32_t k = 0; k < cores_; ++k)
             out[k] = static_cast<double>(targetUops_) /
-                     static_cast<double>(cyclesToTarget_[base + k]);
+                     static_cast<double>(
+                         lane_[base + k].cyclesToTarget);
         uncore_.reset();
         if (lanes_active)
             lanes_active->set(static_cast<double>(
@@ -334,140 +308,12 @@ BadcoBatchRunner::run()
     cells_ = 0;
 }
 
-void
-BadcoBatchRunner::runLane(std::size_t lane, Uncore &unc,
-                          std::uint32_t core, std::uint64_t until)
+badco::LaneEnv
+BadcoBatchRunner::laneEnv(std::size_t lane, std::size_t load_base)
 {
-    // Lane state in locals for the step loop; written back once at
-    // quantum end. The loop body is BadcoMachine::step() operation
-    // for operation (minus the pure stall/request counters, which
-    // never feed back into timing) — any divergence here breaks
-    // the bitwise-identity contract, so change both together.
-    std::uint64_t clk = clock_[lane];
-    std::uint64_t tu = totalUops_[lane];
-    std::size_t ni = nodeIdx_[lane];
-    std::uint64_t seq = loadSeq_[lane];
-    std::uint64_t omin = outMin_[lane];
-    std::uint32_t ocnt = outCnt_[lane];
-    std::uint64_t ctt = cyclesToTarget_[lane];
-    const std::uint32_t window = laneWindow_[lane];
-    const BadcoModel &model = *laneModel_[lane];
-    const std::size_t ncount = model.nodeWeight.size();
-    const std::uint32_t *nw = model.nodeWeight.data();
-    const std::uint32_t *nu = model.nodeUops.data();
-    const std::uint64_t *nv = model.nodeVaddr.data();
-    const std::uint64_t *npc = model.nodePc.data();
-    const std::uint8_t *nt = model.nodeType.data();
-    const std::int64_t *nd = model.nodeDependsOn.data();
-    std::uint64_t *ocomp =
-        outComp_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *omark =
-        outMark_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *lcomp = loadComp_.data() + loadOff_[lane];
-
-    const auto expire = [&] {
-        if (omin > clk)
-            return;
-        std::uint64_t min = UINT64_MAX;
-        std::uint32_t n = 0;
-        for (std::uint32_t j = 0; j < ocnt; ++j) {
-            if (ocomp[j] > clk) {
-                ocomp[n] = ocomp[j];
-                omark[n] = omark[j];
-                min = std::min(min, ocomp[j]);
-                ++n;
-            }
-        }
-        ocnt = n;
-        omin = min;
-    };
-    const auto check_target = [&] {
-        if (ctt != 0 || tu < targetUops_)
-            return;
-        std::uint64_t t = clk;
-        for (std::uint32_t j = 0; j < ocnt; ++j)
-            t = std::max(t, ocomp[j]);
-        ctt = std::max<std::uint64_t>(t, 1);
-    };
-
-    while (clk < until) {
-        if (ni >= ncount) {
-            // Tail of the slice, then thread restart.
-            clk += model.tailWeight;
-            tu += model.tailUops;
-            check_target();
-            ni = 0;
-            seq = 0;
-            continue;
-        }
-        const std::size_t i = ni;
-
-        clk += nw[i];
-        tu += nu[i];
-        expire();
-
-        for (std::uint32_t j = 0; j < ocnt; ++j) {
-            if (tu <= omark[j] + window)
-                break;
-            if (ocomp[j] > clk)
-                clk = ocomp[j];
-        }
-        expire();
-
-        const std::uint64_t vaddr = nv[i];
-        const std::uint64_t pc = npc[i];
-        switch (static_cast<BadcoReqType>(nt[i])) {
-          case BadcoReqType::Load: {
-            const std::int64_t depends_on = nd[i];
-            if (depends_on >= 0) {
-                WSEL_ASSERT(
-                    static_cast<std::uint64_t>(depends_on) < seq,
-                    "forward load dependency in model");
-                const std::uint64_t dep_done = lcomp[depends_on];
-                if (dep_done > clk) {
-                    clk = dep_done;
-                    expire();
-                }
-            }
-            if (ocnt >= maxOutstanding_) {
-                if (omin > clk)
-                    clk = omin;
-                expire();
-            }
-            const std::uint64_t comp =
-                unc.access(clk, core, vaddr, false, pc, false);
-            ocomp[ocnt] = comp;
-            omark[ocnt] = tu;
-            ++ocnt;
-            omin = std::min(omin, comp);
-            WSEL_ASSERT(seq < model.loadCount,
-                        "load numbering overflow");
-            lcomp[seq++] = comp;
-            break;
-          }
-          case BadcoReqType::Store:
-            unc.access(clk, core, vaddr, true, pc, false);
-            break;
-          case BadcoReqType::Prefetch:
-            unc.access(clk, core, vaddr, false, pc, true);
-            break;
-          case BadcoReqType::Writeback:
-            unc.writeback(clk, core, vaddr);
-            break;
-        }
-        check_target();
-        ++ni;
-    }
-
-    clock_[lane] = clk;
-    totalUops_[lane] = tu;
-    nodeIdx_[lane] = ni;
-    loadSeq_[lane] = seq;
-    outMin_[lane] = omin;
-    outCnt_[lane] = ocnt;
-    cyclesToTarget_[lane] = ctt;
+    badco::LaneEnv env = laneEnv_[lane];
+    env.loadComp = loadComp_.data() + load_base + loadOff_[lane];
+    return env;
 }
 
 void
@@ -519,24 +365,23 @@ BadcoBatchRunner::runWavefront()
         waveRot_.assign(gn, 0);
         waveDone_.assign(gn, 0);
         waveStepping_.assign(gn, 0);
-        wavePhase_.assign(gn, kPhaseTop);
+        waveParked_.assign(gn, 0);
         waveResume_.assign(gn, UINT32_MAX);
 
         std::size_t remaining = gn;
         while (remaining > 0) {
             // Quantum head, per cell: the all-done test over the
-            // cell's lanes (hoisted into a branchless lane-parallel
-            // count over the cyclesToTarget_ slab) and the t
-            // advance of the rotating schedule.
+            // cell's lanes (a branchless count of unfinished lanes)
+            // and the t advance of the rotating schedule.
             std::size_t stepping = 0;
             for (std::size_t c = 0; c < gn; ++c) {
                 if (waveDone_[c])
                     continue;
-                const std::uint64_t *ctt =
-                    cyclesToTarget_.data() + (g0 + c) * cores_;
+                const badco::LaneState *lanes =
+                    lane_.data() + (g0 + c) * cores_;
                 std::uint32_t live = 0;
                 for (std::uint32_t k = 0; k < cores_; ++k)
-                    live += ctt[k] == 0;
+                    live += lanes[k].cyclesToTarget == 0;
                 if (live == 0) {
                     waveDone_[c] = 1;
                     --remaining;
@@ -566,13 +411,13 @@ BadcoBatchRunner::runWavefront()
                         if (k >= cores_)
                             k -= cores_;
                         const std::size_t lane = base + k;
-                        if (wavePhase_[c] == kPhaseTop &&
-                            clock_[lane] >= waveT_[c]) {
+                        if (!waveParked_[c] &&
+                            lane_[lane].clock >= waveT_[c]) {
                             ++waveRot_[c];
                             continue;
                         }
                         parked = runLaneWave(c, lane, *waveUnc_[c],
-                                             k, waveT_[c]);
+                                             waveT_[c]);
                         if (parked)
                             break;
                         ++waveRot_[c];
@@ -614,7 +459,7 @@ BadcoBatchRunner::runWavefront()
             for (std::uint32_t k = 0; k < cores_; ++k)
                 out[k] =
                     static_cast<double>(targetUops_) /
-                    static_cast<double>(cyclesToTarget_[base + k]);
+                    static_cast<double>(lane_[base + k].cyclesToTarget);
         }
         waveUnc_.clear();
         if (lanes_active)
@@ -628,164 +473,13 @@ BadcoBatchRunner::runWavefront()
 
 bool
 BadcoBatchRunner::runLaneWave(std::size_t slot, std::size_t lane,
-                              Uncore &unc, std::uint32_t core,
-                              std::uint64_t until)
+                              Uncore &unc, std::uint64_t until)
 {
-    // runLane() with a park point at every LLC access: identical
-    // locals, identical step loop — change the two together. The
-    // only divergence is *where* the tag scan happens (gathered by
-    // the wave driver instead of inline in Uncore::access), which
-    // accessBegin/accessFinish make structurally equivalent.
-    std::uint64_t clk = clock_[lane];
-    std::uint64_t tu = totalUops_[lane];
-    std::size_t ni = nodeIdx_[lane];
-    std::uint64_t seq = loadSeq_[lane];
-    std::uint64_t omin = outMin_[lane];
-    std::uint32_t ocnt = outCnt_[lane];
-    std::uint64_t ctt = cyclesToTarget_[lane];
-    const std::uint32_t window = laneWindow_[lane];
-    const BadcoModel &model = *laneModel_[lane];
-    const std::size_t ncount = model.nodeWeight.size();
-    const std::uint32_t *nw = model.nodeWeight.data();
-    const std::uint32_t *nu = model.nodeUops.data();
-    const std::uint64_t *nv = model.nodeVaddr.data();
-    const std::uint64_t *npc = model.nodePc.data();
-    const std::uint8_t *nt = model.nodeType.data();
-    const std::int64_t *nd = model.nodeDependsOn.data();
-    std::uint64_t *ocomp =
-        outComp_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *omark =
-        outMark_.data() +
-        static_cast<std::size_t>(lane) * maxOutstanding_;
-    std::uint64_t *lcomp = loadComp_.data() +
-                           slot * waveLoadStride_ + loadOff_[lane];
-
-    const auto expire = [&] {
-        if (omin > clk)
-            return;
-        std::uint64_t min = UINT64_MAX;
-        std::uint32_t n = 0;
-        for (std::uint32_t j = 0; j < ocnt; ++j) {
-            if (ocomp[j] > clk) {
-                ocomp[n] = ocomp[j];
-                omark[n] = omark[j];
-                min = std::min(min, ocomp[j]);
-                ++n;
-            }
-        }
-        ocnt = n;
-        omin = min;
-    };
-    const auto check_target = [&] {
-        if (ctt != 0 || tu < targetUops_)
-            return;
-        std::uint64_t t = clk;
-        for (std::uint32_t j = 0; j < ocnt; ++j)
-            t = std::max(t, ocomp[j]);
-        ctt = std::max<std::uint64_t>(t, 1);
-    };
-
-    // Resume a parked access: the gathered sweep's way index
-    // finishes it, then the post-access tail of the interrupted
-    // iteration (outstanding bookkeeping for loads, then
-    // check_target / node advance) runs exactly as runLane's.
-    if (wavePhase_[slot] != kPhaseTop) {
-        const std::uint64_t comp =
-            unc.accessFinish(wavePend_[slot], waveResume_[slot]);
-        ocomp[ocnt] = comp;
-        omark[ocnt] = tu;
-        ++ocnt;
-        omin = std::min(omin, comp);
-        WSEL_ASSERT(seq < model.loadCount,
-                    "load numbering overflow");
-        lcomp[seq++] = comp;
-        wavePhase_[slot] = kPhaseTop;
-        check_target();
-        ++ni;
-    }
-
-    bool parked = false;
-    while (clk < until) {
-        if (ni >= ncount) {
-            // Tail of the slice, then thread restart.
-            clk += model.tailWeight;
-            tu += model.tailUops;
-            check_target();
-            ni = 0;
-            seq = 0;
-            continue;
-        }
-        const std::size_t i = ni;
-
-        clk += nw[i];
-        tu += nu[i];
-        expire();
-
-        for (std::uint32_t j = 0; j < ocnt; ++j) {
-            if (tu <= omark[j] + window)
-                break;
-            if (ocomp[j] > clk)
-                clk = ocomp[j];
-        }
-        expire();
-
-        const std::uint64_t vaddr = nv[i];
-        const std::uint64_t pc = npc[i];
-        switch (static_cast<BadcoReqType>(nt[i])) {
-          case BadcoReqType::Load: {
-            const std::int64_t depends_on = nd[i];
-            if (depends_on >= 0) {
-                WSEL_ASSERT(
-                    static_cast<std::uint64_t>(depends_on) < seq,
-                    "forward load dependency in model");
-                const std::uint64_t dep_done = lcomp[depends_on];
-                if (dep_done > clk) {
-                    clk = dep_done;
-                    expire();
-                }
-            }
-            if (ocnt >= maxOutstanding_) {
-                if (omin > clk)
-                    clk = omin;
-                expire();
-            }
-            wavePend_[slot] = unc.accessBegin(clk, core, vaddr,
-                                              false, pc, false);
-            wavePhase_[slot] = kPhaseLoad;
-            parked = true;
-            break;
-          }
-          case BadcoReqType::Store:
-            // Stores, prefetches and writebacks are fire-and-
-            // forget: runLane discards their completion, so
-            // nothing feeds back into the lane — run them inline
-            // (uncore mutation order is identical either way) and
-            // save the park/resume spill for the loads that need
-            // their completion time.
-            unc.access(clk, core, vaddr, true, pc, false);
-            break;
-          case BadcoReqType::Prefetch:
-            unc.access(clk, core, vaddr, false, pc, true);
-            break;
-          case BadcoReqType::Writeback:
-            unc.writeback(clk, core, vaddr);
-            break;
-        }
-        if (parked)
-            break;
-        check_target();
-        ++ni;
-    }
-
-    clock_[lane] = clk;
-    totalUops_[lane] = tu;
-    nodeIdx_[lane] = ni;
-    loadSeq_[lane] = seq;
-    outMin_[lane] = omin;
-    outCnt_[lane] = ocnt;
-    cyclesToTarget_[lane] = ctt;
-    return parked;
+    waveParked_[slot] = badco::runLane<true, false>(
+        lane_[lane], laneEnv(lane, slot * waveLoadStride_), unc, until,
+        &wavePend_[slot],
+        waveParked_[slot] ? &waveResume_[slot] : nullptr);
+    return waveParked_[slot];
 }
 
 } // namespace wsel

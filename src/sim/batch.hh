@@ -6,13 +6,13 @@
  * (workload, policy) cell at a time — each cell constructing a
  * BadcoMulticoreSim, an Uncore and K heap-allocated BadcoMachines,
  * stepping them to the target, then tearing everything down. This
- * engine transposes that machine state into structure-of-arrays
- * slabs over B x K *lanes* (lane = one core of one cell): per-lane
- * window cursors, node walks, outstanding-miss minima and IPC
- * accumulators live in flat reusable arrays, and a quantum loop
- * advances all K lanes of a cell together through the rotating
- * schedule. Cells execute cell-major by default — each runs to
- * completion before the next starts — because cells share nothing:
+ * engine keeps that machine state in flat reusable slabs over
+ * B x K *lanes* (lane = one core of one cell): per-lane kernel
+ * state (badco/badco_step.hh LaneState) and outstanding-miss and
+ * load-completion arrays, and a quantum loop advances all K lanes
+ * of a cell together through the rotating schedule. Cells execute
+ * cell-major by default — each runs to completion before the next
+ * starts — because cells share nothing:
  * any cross-cell interleaving is bitwise identical, and cell-major
  * keeps exactly one uncore's working set (tags, page table,
  * prefetcher state) hot in the host cache while peak RSS stays
@@ -38,17 +38,17 @@
  * so shard artifacts stay byte-for-byte identical at every
  * (wave, batch, jobs) combination, including kill/resume at a
  * different wave size (tests/test_batch.cc). W is clamped so the
- * resident uncore working set fits WSEL_WAVE_MEM (MiB); NUMA
- * placement of the slabs follows mem/numa.hh (WSEL_NUMA).
+ * resident uncore working set fits WSEL_WAVE_MEM (MiB).
  *
  * Determinism contract (docs/PARALLELISM.md): every cell is an
  * independent computation — its own seed (campaignCellSeed keyed by
  * absolute rank), its own uncore, its own lanes — so interleaving
- * cells at quantum granularity cannot change any cell's result. The
- * per-lane stepping below replicates BadcoMachine::step() and the
- * BadcoMulticoreSim rotating-quantum schedule operation for
- * operation, so a batched shard is bitwise identical to the serial
- * engine at every (batch, jobs) combination (tests/test_batch.cc).
+ * cells at quantum granularity cannot change any cell's result.
+ * Lanes step through the same kernel as BadcoMachine
+ * (badco::runLane), and the quantum loop below follows the
+ * BadcoMulticoreSim rotating-quantum schedule, so a batched shard is
+ * bitwise identical to the serial engine at every (batch, wave,
+ * jobs) combination (tests/test_batch.cc).
  *
  * Batch construction order: callers append cells in row-major
  * (rank, policy) order, which already maximizes shared-benchmark
@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "badco/badco_model.hh"
+#include "badco/badco_step.hh"
 #include "cache/tagscan.hh"
 #include "mem/uncore.hh"
 #include "mem/uncore_config.hh"
@@ -121,7 +122,7 @@ std::size_t estimateUncoreFootprint(const UncoreConfig &cfg,
                                     std::uint32_t cores);
 
 /**
- * Executes batches of BADCO cells against SoA lane state. One
+ * Executes batches of BADCO cells as kernel lanes. One
  * runner is built per shard (or per adaptive row-group) and reused
  * across its batches; add() cells until full() (or done), then
  * run() — results are written straight into each cell's caller
@@ -189,29 +190,19 @@ class BadcoBatchRunner
     void run();
 
   private:
-    void runLane(std::size_t lane, Uncore &unc, std::uint32_t core,
-                 std::uint64_t until);
-
-    /** Where a parked wave lane re-enters runLaneWave(). Only
-     *  loads park — stores/prefetches/writebacks discard their
-     *  completion, so they run inline. */
-    enum : std::uint8_t
-    {
-        kPhaseTop = 0,  ///< not parked: next node from the top
-        kPhaseLoad = 1, ///< parked at a Load access
-    };
+    /** The kernel environment of @p lane, its load completions at
+     *  @p load_base in the loadComp_ arena. */
+    badco::LaneEnv laneEnv(std::size_t lane, std::size_t load_base);
 
     /**
-     * runLane() with park/resume at LLC accesses: runs lane until
-     * it either reaches @p until (returns false) or issues an
-     * accessBegin() whose tag scan the wave driver should gather
-     * (parks the lane state in wave slots and returns true). On
-     * re-entry with wavePhase_[slot] != kPhaseTop the access is
+     * Steps @p lane of wave slot @p slot until it either reaches
+     * @p until (returns false) or parks at a load's accessBegin()
+     * whose tag scan the wave driver should gather (returns true).
+     * On re-entry with waveParked_[slot] set the parked load is
      * finished with waveResume_[slot] first.
      */
     bool runLaneWave(std::size_t slot, std::size_t lane,
-                     Uncore &unc, std::uint32_t core,
-                     std::uint64_t until);
+                     Uncore &unc, std::uint64_t until);
 
     /** Wave-interleaved run(): W uncores resident in lockstep. */
     void runWavefront();
@@ -239,17 +230,12 @@ class BadcoBatchRunner
     std::vector<std::size_t> cellLoads_;
     /** @} */
 
-    /** @name Per-lane SoA state, lane = cell * cores_ + core. */
+    /** @name Per-lane state, lane = cell * cores_ + core. */
     /** @{ */
-    std::vector<std::uint64_t> clock_;
-    std::vector<std::uint64_t> totalUops_;
-    std::vector<std::size_t> nodeIdx_;
-    std::vector<std::uint64_t> loadSeq_;
-    std::vector<std::uint64_t> outMin_;
-    std::vector<std::uint32_t> outCnt_;
-    std::vector<std::uint64_t> cyclesToTarget_;
-    std::vector<std::uint32_t> laneWindow_;
-    std::vector<const BadcoModel *> laneModel_;
+    std::vector<badco::LaneState> lane_;
+    /** Kernel environment minus loadComp, which laneEnv() binds
+     *  per call (the arena moves when it grows). */
+    std::vector<badco::LaneEnv> laneEnv_;
     /** loadCompletion arena offset of each lane (cell-local:
      *  cell-major execution lets all cells share one region). */
     std::vector<std::size_t> loadOff_;
@@ -276,9 +262,10 @@ class BadcoBatchRunner
     std::vector<std::uint32_t> waveRot_;
     std::vector<std::uint8_t> waveDone_;
     std::vector<std::uint8_t> waveStepping_;
-    /** Park phase per cell (kPhaseTop = not parked). */
-    std::vector<std::uint8_t> wavePhase_;
-    /** The parked access, valid while wavePhase_ != kPhaseTop. */
+    /** Cell parked at a load (only loads park: nothing reads the
+     *  completion of a store, prefetch or writeback). */
+    std::vector<std::uint8_t> waveParked_;
+    /** The parked access, valid while waveParked_ is set. */
     std::vector<Uncore::PendingAccess> wavePend_;
     /** Way index handed back to the parked cell by the sweep. */
     std::vector<std::uint32_t> waveResume_;

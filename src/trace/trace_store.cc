@@ -9,7 +9,6 @@
 #include <unistd.h>
 #endif
 
-#include "mem/numa.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/logging.hh"
@@ -116,13 +115,6 @@ TraceStream::buildOne()
     adviseHugepages(c->addr.data(),
                     c->addr.size() * sizeof(std::uint64_t));
     adviseHugepages(c->pc.data(),
-                    c->pc.size() * sizeof(std::uint64_t));
-    // WSEL_NUMA=interleave re-spreads the big arrays after the
-    // first-touch build above (mem/numa.hh; default keeps them on
-    // this worker's node).
-    numa::placeSlab(c->addr.data(),
-                    c->addr.size() * sizeof(std::uint64_t));
-    numa::placeSlab(c->pc.data(),
                     c->pc.size() * sizeof(std::uint64_t));
 
     built.inc();

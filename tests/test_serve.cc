@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -672,8 +674,12 @@ class ServeDistributedTest : public ::testing::Test
     SetUpTestSuite()
     {
         obs::enableMetrics();
+        // Per process: ctest runs every test in its own process,
+        // and a sibling's TearDownTestSuite must not delete the
+        // cache under a running admission.
         cacheDir_ = (fs::temp_directory_path() /
-                     "wsel_serve_test_model_cache")
+                     ("wsel_serve_test_model_cache." +
+                      std::to_string(::getpid())))
                         .string();
         fs::create_directories(cacheDir_);
     }
@@ -691,7 +697,8 @@ class ServeDistributedTest : public ::testing::Test
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_serve_e2e_") + info->name()))
+                (std::string("wsel_serve_e2e_") + info->name() +
+                 "." + std::to_string(::getpid())))
                    .string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
@@ -740,10 +747,34 @@ class ServeDistributedTest : public ::testing::Test
             extra_env);
     }
 
+    /**
+     * Reap @p pid into @p status within a deadline, so a wedged
+     * worker fails the test in seconds instead of hanging it until
+     * the ctest timeout; on expiry SIGKILL it and FAIL().
+     */
+    static void
+    reap(pid_t pid, int &status)
+    {
+        constexpr auto kDeadline = std::chrono::seconds(60);
+        const auto until = std::chrono::steady_clock::now() + kDeadline;
+        while (std::chrono::steady_clock::now() < until) {
+            if (const std::optional<int> st = serve::pollProcess(pid)) {
+                status = *st;
+                return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        ::kill(pid, SIGKILL);
+        serve::waitProcess(pid);
+        FAIL() << "worker " << pid << " still running after "
+               << kDeadline.count() << " s; killed it";
+    }
+
     static void
     expectKilled(pid_t pid)
     {
-        const int status = serve::waitProcess(pid);
+        int status = 0;
+        ASSERT_NO_FATAL_FAILURE(reap(pid, status));
         EXPECT_TRUE(WIFSIGNALED(status) &&
                     WTERMSIG(status) == SIGKILL)
             << serve::describeExit(status);
@@ -752,7 +783,8 @@ class ServeDistributedTest : public ::testing::Test
     static void
     expectClean(pid_t pid)
     {
-        const int status = serve::waitProcess(pid);
+        int status = 0;
+        ASSERT_NO_FATAL_FAILURE(reap(pid, status));
         EXPECT_TRUE(serve::exitedCleanly(status))
             << serve::describeExit(status);
     }

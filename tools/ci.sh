@@ -46,6 +46,10 @@
 # and the release leg archives hybrid_fidelity's escalation-budget
 # vs ranking-accuracy sweep to build-release/BENCH_hybrid.json.
 #
+# The release leg also reruns the whole test suite three times at
+# -j nproc (--repeat until-fail:3) to catch tests that share state
+# across the processes ctest runs them in.
+#
 # Usage: tools/ci.sh [preset ...]   (default: release asan-ubsan
 #        tsan)
 
@@ -69,6 +73,16 @@ for preset in $presets; do
       tsan)      bindir="build-tsan" ;;
       *)         bindir="build-$preset" ;;
     esac
+
+    if [ "$preset" = "release" ]; then
+        # The whole suite three more times at full parallelism:
+        # ctest runs each test in its own process, so a test that
+        # shares a path or other state with a sibling flakes here.
+        echo "==> repeated parallel test: $preset"
+        ctest --test-dir "$bindir" --output-on-failure \
+            -j "$(nproc 2>/dev/null || echo 4)" \
+            --repeat until-fail:3
+    fi
 
     if [ "$preset" = "asan-ubsan" ] || [ "$preset" = "tsan" ]; then
         echo "==> population smoke: $preset"

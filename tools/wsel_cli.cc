@@ -1289,8 +1289,7 @@ usage()
         "  bitwise identical at every value)\n"
         "environment: WSEL_JOBS, WSEL_METRICS, WSEL_TRACE,\n"
         "  WSEL_TRACE_MEM, WSEL_CACHE_DIR, WSEL_BATCH_CELLS,\n"
-        "  WSEL_BATCH_WAVE, WSEL_WAVE_MEM, WSEL_NUMA\n"
-        "  (firsttouch|interleave|off),\n"
+        "  WSEL_BATCH_WAVE, WSEL_WAVE_MEM,\n"
         "  WSEL_SIMD (scalar|swar|sse2|avx2), WSEL_TRACE_HUGEPAGES;\n"
         "  bench binaries write a machine-readable summary to\n"
         "  $WSEL_BENCH_JSON\n"
