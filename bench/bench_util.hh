@@ -31,12 +31,12 @@
  *    wall time without changing any result.
  *
  * Campaigns acquired here are fault-tolerant (docs/ROBUSTNESS.md):
- * they checkpoint per-workload progress to a `*.partial` journal
- * and resume after a kill, validate cached files with a checksum
- * and a configuration fingerprint (so changing WSEL_INSNS, the
- * policy list, or the suite re-simulates instead of silently
- * serving stale numbers), and quarantine corrupt caches to
- * `*.corrupt` instead of aborting.
+ * they write campaign_v3 shards as they go and resume from them
+ * after a kill, validate cached campaigns with checksums and a
+ * configuration fingerprint (so changing WSEL_INSNS, the policy
+ * list, or the suite re-simulates instead of silently serving
+ * stale numbers), and quarantine corrupt caches to `*.corrupt`
+ * instead of aborting.
  */
 
 #ifndef WSEL_BENCH_BENCH_UTIL_HH
@@ -184,7 +184,7 @@ badcoPopulationCampaign(std::uint32_t cores, std::size_t limit,
     const auto &suite = spec2006Suite();
     const std::uint64_t fp = campaignFingerprint(
         "badco", cores, target, paperPolicies(), suite);
-    return cachedCampaign(key, fp, [&](const std::string &journal) {
+    return cachedCampaign(key, fp, [&](const std::string &artifact) {
         const WorkloadPopulation pop(
             static_cast<std::uint32_t>(suite.size()), cores);
         const auto workloads = subsamplePopulation(pop, limit);
@@ -196,7 +196,7 @@ badcoPopulationCampaign(std::uint32_t cores, std::size_t limit,
         CampaignOptions opts;
         opts.verbose = verbose;
         opts.jobs = 0; // auto: $WSEL_JOBS, else hardware threads
-        opts.journalPath = journal;
+        opts.artifactDir = artifact;
         std::fprintf(stderr,
                      "[wsel] simulating %zu x %zu workloads "
                      "(badco, %u cores)...\n",
@@ -250,15 +250,14 @@ detailedSampleCampaign(std::uint32_t cores, bool verbose = true)
     const auto &suite = spec2006Suite();
     const std::uint64_t fp = campaignFingerprint(
         "detailed", cores, target, paperPolicies(), suite);
-    return cachedCampaign(key, fp, [&](const std::string &journal) {
+    return cachedCampaign(key, fp, [&](const std::string &artifact) {
         const WorkloadPopulation pop(
             static_cast<std::uint32_t>(suite.size()), cores);
         const auto workloads = subsamplePopulation(pop, n);
         CampaignOptions opts;
         opts.verbose = verbose;
-        opts.progressEvery = 50;
         opts.jobs = 0; // auto: $WSEL_JOBS, else hardware threads
-        opts.journalPath = journal;
+        opts.artifactDir = artifact;
         std::fprintf(stderr,
                      "[wsel] simulating %zu x %zu workloads "
                      "(detailed, %u cores; this is the slow "

@@ -48,8 +48,8 @@ main()
         const std::uint64_t fp = campaignFingerprint(
             "badco", cores, target, det.policies, suite);
         const Campaign bad = cachedCampaign(
-            key, fp, [&](const std::string &journal) {
-                opts.journalPath = journal;
+            key, fp, [&](const std::string &artifact) {
+                opts.artifactDir = artifact;
                 return runBadcoCampaign(det.workloads, det.policies,
                                         cores, target, store, suite,
                                         opts);

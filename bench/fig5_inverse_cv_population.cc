@@ -9,11 +9,10 @@
  * Two population-engine sections extend the figure
  * (docs/PERFORMANCE.md, "Population campaigns"):
  *
- *  - a 4-core cells/sec comparison of the pre-existing campaign
- *    path (per-cell journal + in-memory matrix + campaign_v2 text
- *    save) against the streamed population runner (campaign_v3
- *    shards + streaming statistics) over the same rank range at
- *    --jobs 8 (WSEL_POP_BENCH_ROWS sizes it, default 600 rows);
+ *  - a 4-core cells/sec measurement of the streamed population
+ *    runner (campaign_v3 shards + streaming statistics) over a
+ *    rank range at --jobs 8 (WSEL_POP_BENCH_ROWS sizes it,
+ *    default 600 rows);
  *  - an 8-core streamed run (WSEL_POP8_ROWS rows, default 1500;
  *    0 = the full 4.3M-workload population) reporting per-pair
  *    1/cv from the one-pass Welford statistics, cells/sec, and
@@ -137,8 +136,8 @@ main()
                 "50 with IPCT).\n");
 
     // --------------------------------------------------------------
-    // Population-engine comparison: old campaign path vs streamed
-    // runner on the same 4-core rank range, both at 8 jobs.
+    // Population engine: the streamed runner on a 4-core rank
+    // range at 8 jobs.
     // --------------------------------------------------------------
     const std::uint64_t target = targetUops();
     const auto &suite = spec2006Suite();
@@ -166,29 +165,6 @@ main()
                 static_cast<unsigned long long>(bench_rows), np);
     std::printf("%-28s %10s %12s\n", "path", "seconds", "cells/sec");
 
-    double old_cps = 0.0;
-    {
-        const std::string journal = scratch + "/old_path.partial";
-        const std::string out = scratch + "/old_path.campaign";
-        std::error_code ec;
-        fs::remove(journal, ec);
-        CampaignOptions opts;
-        opts.jobs = 8;
-        opts.journalPath = journal;
-        const auto t0 = std::chrono::steady_clock::now();
-        const Campaign oc = runBadcoCampaign(
-            WorkloadSet::populationRange(pop4, 0, bench_rows),
-            policies, 4, target, store, suite, opts);
-        oc.save(out);
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        old_cps = cells4 / sec;
-        std::printf("%-28s %10.2f %12.0f\n",
-                    "journal + v2 text save", sec, old_cps);
-    }
-
     double new_cps = 0.0;
     {
         const std::string out = scratch + "/new_path.v3";
@@ -210,8 +186,6 @@ main()
                     "streamed v3 shards", sec, new_cps);
         (void)r;
     }
-    const double speedup = old_cps > 0.0 ? new_cps / old_cps : 0.0;
-    std::printf("%-28s %10s %11.2fx\n", "speedup", "", speedup);
 
     // --------------------------------------------------------------
     // Batched cell engine: cells/sec vs batch size B on the same
@@ -414,9 +388,7 @@ main()
             "  \"bench4\": {\n"
             "    \"workloads\": %llu,\n"
             "    \"policies\": %zu,\n"
-            "    \"cells_per_sec_old\": %.2f,\n"
-            "    \"cells_per_sec_new\": %.2f,\n"
-            "    \"speedup\": %.3f\n"
+            "    \"cells_per_sec_new\": %.2f\n"
             "  },\n"
             "  \"pop8\": {\n"
             "    \"workloads\": %llu,\n"
@@ -429,7 +401,7 @@ main()
             "}\n",
             static_cast<unsigned long long>(target),
             static_cast<unsigned long long>(bench_rows), np,
-            old_cps, new_cps, speedup,
+            new_cps,
             static_cast<unsigned long long>(rows8),
             static_cast<unsigned long long>(pop8.size()),
             static_cast<unsigned long long>(r8.cellsSimulated),

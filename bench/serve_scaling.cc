@@ -117,7 +117,9 @@ runDistributed(const serve::CampaignSpec &spec,
     coordinator.requestStop();
     loop.join();
     for (const pid_t pid : pids)
-        (void)serve::waitProcess(pid);
+        if (serve::reapProcess(pid, std::chrono::seconds(30)).killed)
+            WSEL_FATAL("bench worker " << pid
+                       << " did not exit within 30 s; killed it");
 
     const double cells = static_cast<double>(
         (spec.lastRank - spec.firstRank) * spec.policies.size());

@@ -304,15 +304,6 @@ WorkloadSet::rankAt(std::size_t i) const
 }
 
 void
-WorkloadSet::keyInto(std::size_t i, std::string &out) const
-{
-    forEach(i, i + 1,
-            [&](std::size_t, std::span<const std::uint32_t> b) {
-                workloadKeyInto(b, out);
-            });
-}
-
-void
 WorkloadSet::checkIndexRange(std::size_t first,
                              std::size_t last) const
 {

@@ -202,9 +202,9 @@ WorkloadPopulation::forEach(std::uint64_t first, std::uint64_t last,
 
 /**
  * A campaign's workload list: either an explicit list of Workload
- * objects (sampled campaigns, campaign_v2 files) or a rank range /
- * rank list over a population shape (population campaigns), which
- * costs O(1) / O(n ranks) memory instead of O(n·K) Workloads.
+ * objects (hand-picked sets) or a rank range / rank list over a
+ * population shape (population and sampled campaigns), which costs
+ * O(1) / O(n ranks) memory instead of O(n·K) Workloads.
  *
  * Implicitly constructible from std::vector<Workload> so the
  * explicit-list call sites read unchanged. operator[] returns a
@@ -261,9 +261,6 @@ class WorkloadSet
 
     /** Population rank of element @p i (fatal unless rankBased()). */
     std::uint64_t rankAt(std::size_t i) const;
-
-    /** Append the "b0+b3+..." key of element @p i to @p out. */
-    void keyInto(std::size_t i, std::string &out) const;
 
     /**
      * Visit elements [first, last) in order:

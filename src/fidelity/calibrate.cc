@@ -121,12 +121,12 @@ runCalibrationCampaigns(std::uint32_t cores,
             "detailed", cores, target_uops, policies, suite);
         out.detailed = cachedCampaign(
             "detailed_" + shape, fp,
-            [&](const std::string &journal) {
+            [&](const std::string &artifact) {
                 CampaignOptions opts;
                 opts.seed = seed;
                 opts.verbose = verbose;
                 opts.jobs = jobs;
-                opts.journalPath = journal;
+                opts.artifactDir = artifact;
                 if (verbose)
                     std::fprintf(stderr,
                                  "[fidelity] calibrating: %zu "
@@ -146,12 +146,12 @@ runCalibrationCampaigns(std::uint32_t cores,
             "badco", cores, target_uops, policies, suite);
         out.badco = cachedCampaign(
             "badco_" + shape, fp,
-            [&](const std::string &journal) {
+            [&](const std::string &artifact) {
                 CampaignOptions opts;
                 opts.seed = seed;
                 opts.verbose = verbose;
                 opts.jobs = jobs;
-                opts.journalPath = journal;
+                opts.artifactDir = artifact;
                 return runBadcoCampaign(sample, policies, cores,
                                         target_uops, store, suite,
                                         opts);

@@ -122,10 +122,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"scheduler.queue_ns", 'h'},
     {"scheduler.run_ns", 'h'},
     {"campaign.cells", 'c'},
-    {"campaign.cells_resumed", 'c'},
     {"campaign.cells_per_sec", 'g'},
-    {"campaign.cell_ns", 'h'},
-    {"campaign.journal_flush_ns", 'h'},
     {"persist.cache_hit", 'c'},
     {"persist.cache_miss", 'c'},
     {"persist.cache_quarantine", 'c'},

@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
+#include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -90,6 +92,19 @@ waitProcess(pid_t pid)
         WSEL_FATAL("waitpid(" << pid
                    << "): " << std::strerror(errno));
     }
+}
+
+Reaped
+reapProcess(pid_t pid, std::chrono::milliseconds deadline)
+{
+    const auto until = std::chrono::steady_clock::now() + deadline;
+    while (std::chrono::steady_clock::now() < until) {
+        if (const std::optional<int> st = pollProcess(pid))
+            return {*st, false};
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ::kill(pid, SIGKILL);
+    return {waitProcess(pid), true};
 }
 
 bool

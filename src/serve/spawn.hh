@@ -20,6 +20,7 @@
 #ifndef WSEL_SERVE_SPAWN_HH
 #define WSEL_SERVE_SPAWN_HH
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,8 +46,26 @@ pid_t spawnProcess(const std::vector<std::string> &argv,
  */
 std::optional<int> pollProcess(pid_t pid);
 
-/** Blocking reap; returns the raw waitpid status. */
+/**
+ * Blocking reap with no deadline; returns the raw waitpid status.
+ * Only for a child known to be exiting (e.g. one just SIGKILLed):
+ * anything else should go through reapProcess.
+ */
 int waitProcess(pid_t pid);
+
+/** What reapProcess found. */
+struct Reaped
+{
+    int status = 0;      ///< raw waitpid status
+    bool killed = false; ///< the deadline expired: we sent SIGKILL
+};
+
+/**
+ * Reap @p pid within @p deadline: poll until it exits, and on expiry
+ * SIGKILL it and reap that.  A wedged child costs at most the
+ * deadline, never a hang.
+ */
+Reaped reapProcess(pid_t pid, std::chrono::milliseconds deadline);
 
 /** True when the raw status is a clean exit(0). */
 bool exitedCleanly(int raw_status);

@@ -1,29 +1,13 @@
 #include "sim/campaign.hh"
 
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <sstream>
 
 #include "exec/scheduler.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "sim/population.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
 #include "trace/trace_store.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define WSEL_HAVE_POSIX_IO 1
-#endif
 
 namespace wsel
 {
@@ -31,326 +15,82 @@ namespace wsel
 namespace
 {
 
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
+/**
+ * Shards per campaign: a campaign of R rows has ceil(R / 64) rows
+ * per shard.  The geometry depends only on R — never on the job
+ * count — so shards written at one --jobs resume at any other, and
+ * small campaigns (e.g. a 24-workload calibration) get one row per
+ * shard and so spread over every thread.
+ */
+constexpr std::uint64_t kCampaignShards = 64;
+
+/**
+ * The campaign_v3 manifest of @p c.  A population range from rank 0
+ * is stored as a rank range; any other workload set as a rank list
+ * (a std::vector<Workload> is ranked over the suite-sized
+ * population), so a cell's seed position is always its row index.
+ */
+persist::V3Manifest
+manifestFor(const Campaign &c)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == sep) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
+    persist::V3Manifest m;
+    m.fingerprint = c.fingerprint;
+    m.simulator = c.simulator;
+    m.cores = c.cores;
+    m.targetUops = c.targetUops;
+    m.simSeconds = c.simSeconds;
+    m.instructions = c.instructions;
+    for (PolicyKind p : c.policies)
+        m.policies.push_back(toString(p));
+    m.benchmarks = c.benchmarks;
+    m.refIpc = c.refIpc;
+    m.popBenchmarks = static_cast<std::uint32_t>(c.benchmarks.size());
+    m.popCores = c.cores;
+    const WorkloadSet &ws = c.workloads;
+    m.lastRank = ws.size();
+    const bool range = ws.isPopulationRange() && ws.firstRank() == 0 &&
+                       ws.population().numBenchmarks() ==
+                           m.popBenchmarks &&
+                       ws.population().cores() == m.popCores;
+    if (!range) {
+        const WorkloadPopulation pop(m.popBenchmarks, m.popCores);
+        m.ranks.reserve(ws.size());
+        ws.forEach([&](std::size_t, std::span<const std::uint32_t> b) {
+            m.ranks.push_back(pop.rank(b));
+        });
     }
-    out.push_back(cur);
-    return out;
+    m.shardRows = std::max<std::uint64_t>(
+        1, (m.rows() + kCampaignShards - 1) / kCampaignShards);
+    return m;
 }
 
+/** Copy shard @p s's row-major payload into the policy-major matrix. */
 void
-progress(const CampaignOptions &opts, const std::string &what,
-         std::size_t done, std::size_t total)
+scatterShard(IpcMatrix &ipc, const persist::V3Manifest &m,
+             std::uint64_t s, std::span<const double> payload)
 {
-    if (!opts.verbose || opts.progressEvery == 0)
-        return;
-    if (done % opts.progressEvery == 0 || done == total) {
-        std::ostringstream os;
-        os << "  [" << what << "] " << done << "/" << total;
-        logLine(os.str());
-    }
-}
-
-/**
- * Strict unsigned parse: digits only, fully consumed.  Unlike raw
- * std::stoull this rejects "-1" and "12x" and never leaks
- * std::invalid_argument/std::out_of_range to the caller.
- */
-std::uint64_t
-parseU64(const std::string &s, const char *what,
-         std::size_t line_no)
-{
-    if (s.empty() || s.size() > 20)
-        throw persist::CacheInvalid(
-            std::string("malformed ") + what + " '" + s +
-            "' at line " + std::to_string(line_no));
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            throw persist::CacheInvalid(
-                std::string("malformed ") + what + " '" + s +
-                "' at line " + std::to_string(line_no));
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
-}
-
-/** Strict double parse; CacheInvalid instead of raw std exceptions. */
-double
-parseDouble(const std::string &s, const char *what,
-            std::size_t line_no)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        if (pos != s.size())
-            throw std::invalid_argument("trailing garbage");
-        return v;
-    } catch (const std::exception &) {
-        throw persist::CacheInvalid(
-            std::string("malformed ") + what + " '" + s +
-            "' at line " + std::to_string(line_no));
-    }
-}
-
-std::vector<double>
-parseDoubleList(const std::string &s, const char *what,
-                std::size_t line_no)
-{
-    std::vector<double> out;
-    for (const std::string &v : splitOn(s, ';'))
-        out.push_back(parseDouble(v, what, line_no));
-    return out;
-}
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw persist::CacheInvalid("cannot open for reading");
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-/** Sequential line reader tracking 1-based line numbers. */
-class LineReader
-{
-  public:
-    explicit LineReader(const std::string &text) : is_(text) {}
-
-    bool
-    next(std::string &line)
-    {
-        if (!std::getline(is_, line))
-            return false;
-        ++lineNo_;
-        return true;
-    }
-
-    std::size_t lineNo() const { return lineNo_; }
-
-  private:
-    std::istringstream is_;
-    std::size_t lineNo_ = 0;
-};
-
-/**
- * Parse a v1/v2 campaign body (footer already stripped and
- * verified for v2).  Throws persist::CacheInvalid on any problem.
- */
-Campaign
-parseCampaignBody(const std::string &body, int version)
-{
-    Campaign c;
-    c.formatVersion = version;
-    LineReader reader(body);
-    std::string line;
-    auto next = [&](const char *tag) -> std::string {
-        if (!reader.next(line))
-            throw persist::CacheInvalid(
-                std::string("truncated: missing '") + tag +
-                "' line");
-        const auto f = splitOn(line, ',');
-        if (f.size() < 2 || f[0] != tag)
-            throw persist::CacheInvalid(
-                std::string("expected '") + tag + "' at line " +
-                std::to_string(reader.lineNo()) + ", got '" + line +
-                "'");
-        return f[1];
-    };
-    next("wsel-campaign"); // already validated by the caller
-    if (version >= 2) {
-        if (!persist::parseHex(next("fingerprint"), c.fingerprint))
-            throw persist::CacheInvalid(
-                "malformed fingerprint at line " +
-                std::to_string(reader.lineNo()));
-    }
-    c.simulator = next("simulator");
-    c.cores = static_cast<std::uint32_t>(
-        parseU64(next("cores"), "core count", reader.lineNo()));
-    if (c.cores == 0 || c.cores > 1024)
-        throw persist::CacheInvalid(
-            "implausible core count " + std::to_string(c.cores));
-    c.targetUops =
-        parseU64(next("target"), "target uops", reader.lineNo());
-    c.simSeconds = parseDouble(next("simseconds"), "simseconds",
-                               reader.lineNo());
-    c.instructions = parseU64(next("instructions"), "instructions",
-                              reader.lineNo());
-    try {
-        for (const std::string &p : splitOn(next("policies"), ';'))
-            c.policies.push_back(parsePolicyKind(p));
-    } catch (const FatalError &e) {
-        throw persist::CacheInvalid(
-            std::string("unknown policy at line ") +
-            std::to_string(reader.lineNo()) + ": " + e.what());
-    }
-    if (c.policies.empty())
-        throw persist::CacheInvalid("empty policy list");
-    for (const std::string &b : splitOn(next("benchmarks"), ';'))
-        c.benchmarks.push_back(b);
-    c.refIpc = parseDoubleList(next("refipc"), "reference IPC",
-                               reader.lineNo());
-    if (c.refIpc.size() != c.benchmarks.size())
-        throw persist::CacheInvalid(
-            "refipc count " + std::to_string(c.refIpc.size()) +
-            " does not match " + std::to_string(c.benchmarks.size()) +
-            " benchmarks");
-    const std::uint64_t nw64 = parseU64(
-        next("nworkloads"), "workload count", reader.lineNo());
-    if (nw64 > 50'000'000)
-        throw persist::CacheInvalid(
-            "implausible workload count " + std::to_string(nw64));
-    const std::size_t nw = static_cast<std::size_t>(nw64);
-    std::vector<Workload> wls;
-    wls.reserve(nw);
-    for (std::size_t w = 0; w < nw; ++w) {
-        if (!reader.next(line))
-            throw persist::CacheInvalid("truncated workload list");
-        const auto f = splitOn(line, ',');
-        if (f.size() != 2 || f[0] != "w")
-            throw persist::CacheInvalid(
-                "bad workload line '" + line + "' at line " +
-                std::to_string(reader.lineNo()));
-        std::vector<std::uint32_t> benches;
-        for (const std::string &b : splitOn(f[1], ';')) {
-            const std::uint64_t idx = parseU64(
-                b, "benchmark index", reader.lineNo());
-            if (idx >= c.benchmarks.size())
-                throw persist::CacheInvalid(
-                    "benchmark index " + std::to_string(idx) +
-                    " out of range at line " +
-                    std::to_string(reader.lineNo()));
-            benches.push_back(static_cast<std::uint32_t>(idx));
+    const std::size_t np = m.policies.size();
+    const std::size_t base = static_cast<std::size_t>(s * m.shardRows);
+    const double *src = payload.data();
+    for (std::size_t r = 0; r < m.rowsInShard(s); ++r) {
+        for (std::size_t p = 0; p < np; ++p) {
+            ipc.setCell(p, base + r, {src, m.cores});
+            src += m.cores;
         }
-        if (benches.size() != c.cores)
-            throw persist::CacheInvalid(
-                "workload at line " +
-                std::to_string(reader.lineNo()) + " has " +
-                std::to_string(benches.size()) + " slots, campaign "
-                "has " + std::to_string(c.cores) + " cores");
-        wls.push_back(Workload(std::move(benches)));
     }
-    c.workloads = WorkloadSet(std::move(wls));
-    c.ipc.reshape(c.policies.size(), nw, c.cores);
-    // The contiguous matrix is zero-initialized, so duplicate
-    // detection needs its own bitmap (a zero cell is legal).
-    std::vector<char> seen(c.policies.size() * nw, 0);
-    std::size_t rows = 0;
-    while (reader.next(line)) {
-        if (line.empty())
-            continue;
-        const auto f = splitOn(line, ',');
-        if (f.size() != 4 || f[0] != "i")
-            throw persist::CacheInvalid(
-                "bad ipc line '" + line + "' at line " +
-                std::to_string(reader.lineNo()));
-        const std::size_t p = static_cast<std::size_t>(
-            parseU64(f[1], "policy index", reader.lineNo()));
-        const std::size_t w = static_cast<std::size_t>(
-            parseU64(f[2], "workload index", reader.lineNo()));
-        if (p >= c.policies.size() || w >= nw)
-            throw persist::CacheInvalid(
-                "ipc line out of range at line " +
-                std::to_string(reader.lineNo()));
-        if (seen[p * nw + w])
-            throw persist::CacheInvalid(
-                "duplicate ipc cell (" + std::to_string(p) + "," +
-                std::to_string(w) + ") at line " +
-                std::to_string(reader.lineNo()));
-        std::vector<double> ipcs =
-            parseDoubleList(f[3], "IPC value", reader.lineNo());
-        if (ipcs.size() != c.cores)
-            throw persist::CacheInvalid(
-                "ipc cell at line " +
-                std::to_string(reader.lineNo()) + " has " +
-                std::to_string(ipcs.size()) + " values, expected " +
-                std::to_string(c.cores));
-        c.ipc.setCell(p, w, {ipcs.data(), ipcs.size()});
-        seen[p * nw + w] = 1;
-        ++rows;
-    }
-    if (rows != c.policies.size() * nw)
-        throw persist::CacheInvalid(
-            "has " + std::to_string(rows) + " ipc rows, expected " +
-            std::to_string(c.policies.size() * nw));
-    return c;
-}
-
-/** Full validated load; throws persist::CacheInvalid on problems. */
-Campaign
-loadImpl(const std::string &path)
-{
-    const std::string text = slurpFile(path);
-    const std::size_t eol = text.find('\n');
-    const std::string first =
-        text.substr(0, eol == std::string::npos ? text.size() : eol);
-    int version = 0;
-    if (first == "wsel-campaign,v1")
-        version = 1;
-    else if (first == "wsel-campaign,v2")
-        version = 2;
-    else
-        throw persist::CacheInvalid(
-            "not a wsel campaign file (first line '" + first + "')");
-    std::string body = text;
-    if (version >= 2) {
-        // The footer must be the last line:
-        //   footer,<ipc-row-count>,<fnv1a of all preceding bytes>
-        const std::size_t pos = text.rfind("\nfooter,");
-        if (pos == std::string::npos)
-            throw persist::CacheInvalid(
-                "truncated: missing integrity footer");
-        body = text.substr(0, pos + 1);
-        std::string footer = text.substr(pos + 1);
-        if (!footer.empty() && footer.back() == '\n')
-            footer.pop_back();
-        else
-            throw persist::CacheInvalid(
-                "truncated: unterminated integrity footer");
-        const auto f = splitOn(footer, ',');
-        std::uint64_t want = 0;
-        if (f.size() != 3 || !persist::parseHex(f[2], want))
-            throw persist::CacheInvalid(
-                "malformed integrity footer '" + footer + "'");
-        const std::uint64_t rows = parseU64(f[1], "footer row count",
-                                            0);
-        if (persist::fnv1a(body) != want)
-            throw persist::CacheInvalid(
-                "checksum mismatch (file damaged or edited)");
-        Campaign c = parseCampaignBody(body, version);
-        if (rows != c.policies.size() * c.workloads.size())
-            throw persist::CacheInvalid(
-                "footer row count " + std::to_string(rows) +
-                " does not match body");
-        return c;
-    }
-    return parseCampaignBody(body, version);
 }
 
 /**
- * Load a sharded binary campaign_v3 directory (population
- * campaigns, src/stats/persist_v3.hh).  Throws
- * persist::CacheInvalid on any validation failure.
+ * Load a campaign_v3 directory; throws persist::CacheInvalid on any
+ * validation failure.
  */
 Campaign
-loadV3Impl(const std::string &path)
+loadV3(const std::string &path)
 {
+    if (!persist::isV3CampaignDir(path))
+        throw persist::CacheInvalid("not a campaign_v3 directory");
     const persist::V3Manifest m = persist::readV3Manifest(path);
     Campaign c;
-    c.formatVersion = 3;
     c.fingerprint = m.fingerprint;
     c.simulator = m.simulator;
     c.cores = m.cores;
@@ -376,8 +116,7 @@ loadV3Impl(const std::string &path)
     if (m.lastRank > pop.size() || m.firstRank > m.lastRank)
         throw persist::CacheInvalid(
             "campaign_v3 manifest: rank range outside population");
-    const std::size_t nw =
-        static_cast<std::size_t>(m.rows());
+    const std::size_t nw = static_cast<std::size_t>(m.rows());
     const std::size_t np = c.policies.size();
     // The manifest's counts drive the workload-list and matrix
     // allocations below; bound them (overflow-safely: divide,
@@ -398,443 +137,88 @@ loadV3Impl(const std::string &path)
             std::to_string(np) + " policies x " +
             std::to_string(c.cores) + " cores)");
     c.workloads =
-        WorkloadSet::populationRange(pop, m.firstRank, m.lastRank);
+        m.listMode()
+            ? WorkloadSet::fromRanks(pop, m.ranks)
+            : WorkloadSet::populationRange(pop, m.firstRank,
+                                           m.lastRank);
     c.ipc.reshape(np, nw, c.cores);
     for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
         const std::vector<double> payload =
             persist::readV3Shard(path, m, s);
-        // Shards are row-major (workload, policy, core); the
-        // matrix is policy-major, so scatter by cell.
-        const std::size_t rows =
-            static_cast<std::size_t>(m.rowsInShard(s));
-        const std::size_t base_w =
-            static_cast<std::size_t>(s * m.shardRows);
-        const double *src = payload.data();
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t p = 0; p < np; ++p) {
-                c.ipc.setCell(p, base_w + r, {src, c.cores});
-                src += c.cores;
-            }
-        }
+        scatterShard(c.ipc, m, s, {payload.data(), payload.size()});
     }
     return c;
 }
 
-/**
- * Append-only checkpoint journal for a running campaign: one
- * self-checksummed line per completed (policy, workload) cell, so
- * a killed campaign loses at most the unflushed batch (batch size
- * 1, the serial default, fsyncs every cell before the next
- * starts).  Appends are serialized by a mutex, so the parallel
- * campaign runners may call append from any worker.  A journal
- * left by a previous run is replayed when the header (fingerprint
- * and shape) matches; a mismatched or damaged header quarantines
- * the journal and starts fresh; a damaged tail (the record being
- * written at the kill) is dropped and truncated away.
- */
-class CampaignJournal
+/** A campaign's identity, before anything is simulated. */
+Campaign
+newCampaign(const std::string &simulator, const WorkloadSet &workloads,
+            const std::vector<PolicyKind> &policies,
+            std::uint32_t cores, std::uint64_t target_uops,
+            const std::vector<BenchmarkProfile> &suite)
 {
-  public:
-    CampaignJournal(std::string path, std::uint64_t fingerprint,
-                    std::size_t npolicies, std::size_t nworkloads,
-                    std::size_t batch = 1)
-        : path_(std::move(path)), fingerprint_(fingerprint),
-          np_(npolicies), nw_(nworkloads),
-          batch_(batch ? batch : 1), done_(np_ * nw_, 0),
-          cells_(np_ * nw_)
-    {
-        replay();
-        openAppend();
-    }
-
-    ~CampaignJournal()
-    {
-        try {
-            std::lock_guard<std::mutex> g(mu_);
-            flushLocked();
-        } catch (...) {
-            // Best-effort: a record lost here is simply
-            // re-simulated on resume.
-        }
-#ifdef WSEL_HAVE_POSIX_IO
-        if (fd_ >= 0)
-            ::close(fd_);
-#else
-        os_.close();
-#endif
-    }
-
-    CampaignJournal(const CampaignJournal &) = delete;
-    CampaignJournal &operator=(const CampaignJournal &) = delete;
-
-    bool
-    done(std::size_t p, std::size_t w) const
-    {
-        return done_[p * nw_ + w] != 0;
-    }
-
-    const std::vector<double> &
-    cell(std::size_t p, std::size_t w) const
-    {
-        return cells_[p * nw_ + w];
-    }
-
-    std::size_t replayedCount() const { return replayed_; }
-    double replayedSeconds() const { return replayedSeconds_; }
-
-    std::uint64_t
-    replayedInstructions() const
-    {
-        return replayedInstructions_;
-    }
-
-    /**
-     * Record a completed cell.  Durable once the batch it belongs
-     * to is flushed: immediately at batch size 1, otherwise by the
-     * flush when the batch fills, by flush(), or by the
-     * destructor.  Thread-safe.
-     */
-    void
-    append(std::size_t p, std::size_t w, const SimResult &r)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        persist::faultPoint("journal.before-append");
-        std::ostringstream os;
-        os.precision(17);
-        os << "r," << p << "," << w << ",";
-        for (std::size_t k = 0; k < r.ipc.size(); ++k)
-            os << (k ? ";" : "") << r.ipc[k];
-        os << "," << r.wallSeconds << "," << r.instructions;
-        const std::string prefix = os.str();
-        buffer_.push_back(prefix + "," +
-                          persist::toHex(persist::fnv1a(prefix)) +
-                          "\n");
-        if (buffer_.size() >= batch_)
-            flushLocked();
-    }
-
-    /** Write and fsync every buffered record.  Thread-safe. */
-    void
-    flush()
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        flushLocked();
-    }
-
-  private:
-    /**
-     * Flush the buffer with one write and one fsync.  The
-     * journal.append fault point fires once per record after the
-     * fsync, preserving the serial contract ("killed after the
-     * nth durable record") that the resilience tests count on.
-     */
-    void
-    flushLocked()
-    {
-        if (buffer_.empty())
-            return;
-        std::string block;
-        for (const std::string &line : buffer_)
-            block += line;
-        const std::size_t n = buffer_.size();
-        buffer_.clear();
-        {
-            static obs::LatencyHistogram &flushNs =
-                obs::histogram("campaign.journal_flush_ns");
-            obs::LatencyHistogram::Timer t(flushNs);
-            writeLine(block);
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            persist::faultPoint("journal.append");
-    }
-
-    std::string
-    headerLine() const
-    {
-        return "wsel-journal,v2," + persist::toHex(fingerprint_) +
-               "," + std::to_string(np_) + "," +
-               std::to_string(nw_) + "\n";
-    }
-
-    void
-    replay()
-    {
-        std::error_code ec;
-        if (!std::filesystem::exists(path_, ec))
-            return;
-        std::string text;
-        try {
-            text = slurpFile(path_);
-        } catch (const persist::CacheInvalid &) {
-            return;
-        }
-        if (text.empty())
-            return;
-        const std::string header = headerLine();
-        if (text.rfind(header, 0) != 0) {
-            const std::string moved = persist::quarantineFile(path_);
-            warn("campaign journal " + path_ +
-                 " does not match this campaign's configuration" +
-                 (moved.empty() ? "" : "; quarantined to " + moved) +
-                 "; restarting from scratch");
-            return;
-        }
-        std::size_t good_end = header.size();
-        std::size_t at = header.size();
-        bool damaged = false;
-        while (at < text.size()) {
-            const std::size_t nl = text.find('\n', at);
-            if (nl == std::string::npos)
-                break; // record in flight at the kill; drop it
-            if (!replayRecord(text.substr(at, nl - at))) {
-                damaged = true;
-                break;
-            }
-            at = nl + 1;
-            good_end = at;
-        }
-        if (damaged)
-            warn("campaign journal " + path_ +
-                 " has a damaged record; dropping it and every "
-                 "later record");
-        if (good_end < text.size())
-            std::filesystem::resize_file(path_, good_end, ec);
-    }
-
-    bool
-    replayRecord(const std::string &line)
-    {
-        const std::size_t crc_at = line.find_last_of(',');
-        if (crc_at == std::string::npos)
-            return false;
-        std::uint64_t want = 0;
-        if (!persist::parseHex(line.substr(crc_at + 1), want) ||
-            persist::fnv1a(line.substr(0, crc_at)) != want)
-            return false;
-        const auto f = splitOn(line, ',');
-        if (f.size() != 7 || f[0] != "r")
-            return false;
-        try {
-            const std::size_t p =
-                static_cast<std::size_t>(parseU64(f[1], "p", 0));
-            const std::size_t w =
-                static_cast<std::size_t>(parseU64(f[2], "w", 0));
-            if (p >= np_ || w >= nw_)
-                return false;
-            std::vector<double> ipcs =
-                parseDoubleList(f[3], "ipc", 0);
-            const double wall = parseDouble(f[4], "wall", 0);
-            const std::uint64_t insns = parseU64(f[5], "insns", 0);
-            const std::size_t idx = p * nw_ + w;
-            if (done_[idx])
-                return true; // duplicate; first record wins
-            done_[idx] = 1;
-            cells_[idx] = std::move(ipcs);
-            ++replayed_;
-            replayedSeconds_ += wall;
-            replayedInstructions_ += insns;
-            return true;
-        } catch (const persist::CacheInvalid &) {
-            return false;
-        }
-    }
-
-    void
-    openAppend()
-    {
-#ifdef WSEL_HAVE_POSIX_IO
-        fd_ = ::open(path_.c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND, 0644);
-        if (fd_ < 0)
-            WSEL_FATAL("cannot open campaign journal '"
-                       << path_ << "': " << strerror(errno));
-        if (::lseek(fd_, 0, SEEK_END) == 0)
-            writeLine(headerLine());
-#else
-        const bool fresh = !std::filesystem::exists(path_) ||
-                           std::filesystem::file_size(path_) == 0;
-        os_.open(path_, std::ios::binary | std::ios::app);
-        if (!os_)
-            WSEL_FATAL("cannot open campaign journal '" << path_
-                                                        << "'");
-        if (fresh)
-            writeLine(headerLine());
-#endif
-    }
-
-    void
-    writeLine(const std::string &line)
-    {
-#ifdef WSEL_HAVE_POSIX_IO
-        std::size_t off = 0;
-        while (off < line.size()) {
-            const ssize_t n =
-                ::write(fd_, line.data() + off, line.size() - off);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                WSEL_FATAL("write to campaign journal '"
-                           << path_
-                           << "' failed: " << strerror(errno));
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        if (::fsync(fd_) != 0)
-            WSEL_FATAL("fsync of campaign journal '"
-                       << path_ << "' failed: " << strerror(errno));
-#else
-        os_ << line;
-        os_.flush();
-        if (!os_)
-            WSEL_FATAL("write to campaign journal '" << path_
-                                                     << "' failed");
-#endif
-    }
-
-    std::string path_;
-    std::uint64_t fingerprint_;
-    std::size_t np_, nw_;
-    std::size_t batch_;
-    std::mutex mu_;
-    std::vector<std::string> buffer_;
-    std::vector<char> done_;
-    std::vector<std::vector<double>> cells_;
-    std::size_t replayed_ = 0;
-    double replayedSeconds_ = 0.0;
-    std::uint64_t replayedInstructions_ = 0;
-#ifdef WSEL_HAVE_POSIX_IO
-    int fd_ = -1;
-#else
-    std::ofstream os_;
-#endif
-};
-
-/** Open the journal configured in @p opts (null when disabled). */
-std::unique_ptr<CampaignJournal>
-openJournal(const CampaignOptions &opts, Campaign &c,
-            std::size_t npolicies, std::size_t nworkloads)
-{
-    if (opts.journalPath.empty())
-        return nullptr;
-    std::size_t batch = opts.journalBatch;
-    if (batch == 0)
-        batch = exec::resolveJobs(opts.jobs) > 1 ? 16 : 1;
-    auto j = std::make_unique<CampaignJournal>(
-        opts.journalPath, c.fingerprint, npolicies, nworkloads,
-        batch);
-    if (j->replayedCount() > 0) {
-        c.simSeconds += j->replayedSeconds();
-        c.instructions += j->replayedInstructions();
-        logLine("  [campaign] resuming from journal: " +
-                std::to_string(j->replayedCount()) + "/" +
-                std::to_string(npolicies * nworkloads) +
-                " cells already simulated");
-    }
-    return j;
+    if (workloads.empty() || policies.empty())
+        WSEL_FATAL("campaign needs workloads and policies");
+    Campaign c;
+    c.simulator = simulator;
+    c.cores = cores;
+    c.targetUops = target_uops;
+    c.policies = policies;
+    for (const BenchmarkProfile &p : suite)
+        c.benchmarks.push_back(p.name);
+    c.workloads = workloads;
+    c.fingerprint = campaignFingerprint(simulator, cores, target_uops,
+                                        policies, suite);
+    return c;
 }
 
+std::vector<UncoreConfig>
+uncoreConfigs(std::uint32_t cores, const std::vector<PolicyKind> &policies)
+{
+    std::vector<UncoreConfig> ucfgs;
+    ucfgs.reserve(policies.size());
+    for (PolicyKind p : policies)
+        ucfgs.push_back(UncoreConfig::forCores(cores, p));
+    return ucfgs;
+}
+
+using ShardSimulator =
+    std::function<void(const persist::V3Manifest &,
+                       const WorkloadPopulation &, std::uint64_t,
+                       std::vector<double> &)>;
+
 /**
- * Shared cell-execution engine behind the campaign runners.
- * Resolves journaled cells, runs the rest via @p run_cell — a
- * plain row-major loop when the resolved job count is 1 (the
- * legacy serial semantics the resilience tests rely on), a
- * work-stealing pool otherwise — and accumulates simSeconds and
- * instructions per cell in index order, so the totals (and the
- * IPC matrix) are bitwise independent of the thread count and of
- * task completion order.
+ * Run (or resume) @p c's shards through the shared shard loop into
+ * its IPC matrix, committing opts.artifactDir when one is set.
  */
 void
-runCells(Campaign &c, const CampaignOptions &opts,
-         CampaignJournal *journal, const std::string &sim_name,
-         const std::function<SimResult(std::size_t, std::size_t,
-                                       std::uint64_t)> &run_cell)
+runCampaignShards(Campaign &c, const CampaignOptions &opts,
+                  const ShardSimulator &simulate)
 {
-    const std::size_t nw = c.workloads.size();
-    const std::size_t total = c.policies.size() * nw;
-    const std::size_t jobs = exec::resolveJobs(opts.jobs);
-    std::vector<double> wall(total, 0.0);
-    std::vector<std::uint64_t> insns(total, 0);
-    std::atomic<std::size_t> done{0};
-    auto label = [&](std::size_t p) {
-        return sim_name + " " + toString(c.policies[p]);
-    };
-    auto cell = [&](std::size_t idx) {
-        const std::size_t p = idx / nw;
-        const std::size_t w = idx % nw;
-        if (journal && journal->done(p, w)) {
-            static obs::Counter &resumed =
-                obs::counter("campaign.cells_resumed");
-            resumed.inc();
-            const std::vector<double> &jc = journal->cell(p, w);
-            c.ipc.setCell(p, w, {jc.data(), jc.size()});
-            progress(opts, label(p) + " (resumed)",
-                     done.fetch_add(1) + 1, total);
-            return;
-        }
-        std::string tag;
-        if (obs::tracingEnabled()) {
-            tag = "policy=" + toString(c.policies[p]) +
-                  ",workload=";
-            c.workloads.keyInto(w, tag);
-        }
-        obs::Span span("campaign.cell", tag);
-        static obs::Counter &cells = obs::counter("campaign.cells");
-        static obs::LatencyHistogram &cellNs =
-            obs::histogram("campaign.cell_ns");
-        obs::LatencyHistogram::Timer timer(cellNs);
-        const SimResult r = run_cell(
-            p, w, campaignCellSeed(c.fingerprint, opts.seed, p, w));
-        cells.inc();
-        c.ipc.setCell(p, w, {r.ipc.data(), r.ipc.size()});
-        wall[idx] = r.wallSeconds;
-        insns[idx] = r.instructions;
-        if (journal)
-            journal->append(p, w, r);
-        progress(opts, label(p), done.fetch_add(1) + 1, total);
-    };
-    const auto t0 = std::chrono::steady_clock::now();
-    if (jobs <= 1) {
-        for (std::size_t idx = 0; idx < total; ++idx)
-            cell(idx);
-    } else {
-        exec::ThreadPool pool(jobs);
-        exec::parallel_for(pool, std::size_t{0}, total, cell);
-        if (opts.verbose) {
-            if (obs::metricsEnabled()) {
-                // Scheduler behavior now lives in the metrics
-                // registry; print that section instead of the old
-                // ad-hoc SchedulerStats dump.
-                std::ostringstream os;
-                os << "  [" << sim_name << "] " << jobs
-                   << " jobs; scheduler metrics:\n"
-                   << obs::metricsSnapshot().toTable("scheduler.");
-                logLine(os.str());
-            } else {
-                const exec::SchedulerStats st = pool.stats();
-                std::ostringstream os;
-                os << "  [" << sim_name << "] " << st.threads
-                   << " jobs, " << st.tasksRun << " tasks, "
-                   << st.tasksStolen << " stolen, "
-                   << st.tasksHelped << " helped";
-                logLine(os.str());
-            }
-        }
-    }
-    if (obs::metricsEnabled()) {
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        if (elapsed > 0.0) {
-            obs::gauge("campaign.cells_per_sec")
-                .set(static_cast<double>(total) / elapsed);
-        }
-    }
-    if (journal)
-        journal->flush();
-    for (std::size_t idx = 0; idx < total; ++idx) {
-        c.simSeconds += wall[idx];
-        c.instructions += insns[idx];
+    persist::V3Manifest m = manifestFor(c);
+    const WorkloadPopulation pop(m.popBenchmarks, m.popCores);
+    const std::string &dir = opts.artifactDir;
+    c.ipc.reshape(c.policies.size(), c.workloads.size(), c.cores);
+    const ShardLoopStats st = runV3Shards(
+        m, dir, opts.jobs, opts.verbose, "campaign",
+        [&](std::uint64_t s, std::vector<double> &payload) {
+            simulate(m, pop, s, payload);
+        },
+        [&](std::uint64_t s, std::span<const double> payload) {
+            scatterShard(c.ipc, m, s, payload);
+        });
+    if (st.cellsResumed > 0)
+        logLine("  [campaign] resumed " +
+                std::to_string(st.cellsResumed) + "/" +
+                std::to_string(st.cellsResumed + st.cellsSimulated) +
+                " cells from the shards in " + dir);
+    c.simSeconds = st.simSeconds;
+    c.instructions = static_cast<std::uint64_t>(c.policies.size()) *
+                     c.workloads.size() * c.cores * c.targetUops;
+    if (!dir.empty()) {
+        m.simSeconds = c.simSeconds;
+        m.instructions = c.instructions;
+        persist::writeV3Manifest(dir, m);
     }
 }
 
@@ -925,66 +309,39 @@ Campaign::mips() const
 }
 
 void
-Campaign::save(const std::string &path) const
+Campaign::save(const std::string &dir) const
 {
-    std::ostringstream os;
-    os << "wsel-campaign,v2\n";
-    os << "fingerprint," << persist::toHex(fingerprint) << "\n";
-    os << "simulator," << simulator << "\n";
-    os << "cores," << cores << "\n";
-    os << "target," << targetUops << "\n";
-    os << "simseconds," << simSeconds << "\n";
-    os << "instructions," << instructions << "\n";
-    os << "policies,";
-    for (std::size_t i = 0; i < policies.size(); ++i)
-        os << (i ? ";" : "") << toString(policies[i]);
-    os << "\n";
-    os << "benchmarks,";
-    for (std::size_t i = 0; i < benchmarks.size(); ++i)
-        os << (i ? ";" : "") << benchmarks[i];
-    os << "\n";
-    os << "refipc,";
-    os.precision(17);
-    for (std::size_t i = 0; i < refIpc.size(); ++i)
-        os << (i ? ";" : "") << refIpc[i];
-    os << "\n";
-    os << "nworkloads," << workloads.size() << "\n";
-    workloads.forEach(
-        [&](std::size_t, std::span<const std::uint32_t> benches) {
-            os << "w,";
-            for (std::size_t k = 0; k < benches.size(); ++k)
-                os << (k ? ";" : "") << benches[k];
-            os << "\n";
-        });
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            os << "i," << p << "," << w << ",";
-            const auto cell = ipc.cell(p, w);
-            for (std::size_t k = 0; k < cell.size(); ++k)
-                os << (k ? ";" : "") << cell[k];
-            os << "\n";
-        }
+    const persist::V3Manifest m = manifestFor(*this);
+    persist::ensureDirTree(dir);
+    persist::clearV3Dir(dir);
+    const std::size_t np = policies.size();
+    std::vector<double> payload;
+    for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
+        payload.clear();
+        const std::size_t base =
+            static_cast<std::size_t>(s * m.shardRows);
+        for (std::size_t r = 0; r < m.rowsInShard(s); ++r)
+            for (std::size_t p = 0; p < np; ++p) {
+                const auto cell = ipc.cell(p, base + r);
+                payload.insert(payload.end(), cell.begin(),
+                               cell.end());
+            }
+        persist::writeV3Shard(dir, m, s,
+                              {payload.data(), payload.size()});
     }
-    const std::string body = os.str();
-    const std::string footer =
-        "footer," +
-        std::to_string(policies.size() * workloads.size()) + "," +
-        persist::toHex(persist::fnv1a(body)) + "\n";
-    persist::atomicWriteFile(path, body + footer);
+    persist::writeV3Manifest(dir, m);
 }
 
 Campaign
-Campaign::load(const std::string &path, LoadMode mode)
+Campaign::load(const std::string &dir, LoadMode mode)
 {
     try {
-        if (persist::isV3CampaignDir(path))
-            return loadV3Impl(path);
-        return loadImpl(path);
+        return loadV3(dir);
     } catch (const persist::CacheInvalid &e) {
         if (mode == LoadMode::Strict)
-            WSEL_FATAL("campaign file " << path << ": " << e.what());
-        const std::string moved = persist::quarantineFile(path);
-        warn("corrupt campaign cache at " + path + " (" + e.what() +
+            WSEL_FATAL("campaign " << dir << ": " << e.what());
+        const std::string moved = persist::quarantineFile(dir);
+        warn("corrupt campaign cache at " + dir + " (" + e.what() +
              ")" +
              (moved.empty() ? "" : "; quarantined to " + moved) +
              "; re-simulating");
@@ -1000,45 +357,26 @@ runBadcoCampaign(const WorkloadSet &workloads,
                  const std::vector<BenchmarkProfile> &suite,
                  const CampaignOptions &opts)
 {
-    if (workloads.empty() || policies.empty())
-        WSEL_FATAL("campaign needs workloads and policies");
-    Campaign c;
-    c.simulator = "badco";
-    c.cores = cores;
-    c.targetUops = target_uops;
-    c.policies = policies;
-    for (const BenchmarkProfile &p : suite)
-        c.benchmarks.push_back(p.name);
-    c.workloads = workloads;
-    c.fingerprint = campaignFingerprint(c.simulator, cores,
-                                        target_uops, policies,
-                                        suite);
-
+    Campaign c = newCampaign("badco", workloads, policies, cores,
+                             target_uops, suite);
     const std::vector<const BadcoModel *> models =
         store.getSuite(suite, exec::resolveJobs(opts.jobs));
-
     {
         UncoreConfig ref =
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
         c.refIpc = ref_sim.referenceIpcs(models);
     }
-
-    c.ipc.reshape(policies.size(), workloads.size(), cores);
-    auto journal =
-        openJournal(opts, c, policies.size(), workloads.size());
-    std::vector<UncoreConfig> ucfgs;
-    ucfgs.reserve(policies.size());
-    for (PolicyKind p : policies)
-        ucfgs.push_back(UncoreConfig::forCores(cores, p));
-    runCells(c, opts, journal.get(), "badco",
-             [&](std::size_t p, std::size_t w,
-                 std::uint64_t seed) -> SimResult {
-                 const BadcoMulticoreSim sim(ucfgs[p], cores,
-                                             target_uops, seed);
-                 const Workload wl = workloads[w];
-                 return sim.run(wl, models);
-             });
+    const std::vector<UncoreConfig> ucfgs =
+        uncoreConfigs(cores, policies);
+    runCampaignShards(
+        c, opts,
+        [&](const persist::V3Manifest &m, const WorkloadPopulation &pop,
+            std::uint64_t s, std::vector<double> &payload) {
+            simulatePopulationShardBatched(m, pop, ucfgs, models,
+                                           opts.seed, s, 0, 0,
+                                           payload);
+        });
     return c;
 }
 
@@ -1050,19 +388,8 @@ runDetailedCampaign(const WorkloadSet &workloads,
                     const std::vector<BenchmarkProfile> &suite,
                     const CampaignOptions &opts)
 {
-    if (workloads.empty() || policies.empty())
-        WSEL_FATAL("campaign needs workloads and policies");
-    Campaign c;
-    c.simulator = "detailed";
-    c.cores = cores;
-    c.targetUops = target_uops;
-    c.policies = policies;
-    for (const BenchmarkProfile &p : suite)
-        c.benchmarks.push_back(p.name);
-    c.workloads = workloads;
-    c.fingerprint = campaignFingerprint(c.simulator, cores,
-                                        target_uops, policies,
-                                        suite);
+    Campaign c = newCampaign("detailed", workloads, policies, cores,
+                             target_uops, suite);
 
     // Materialize each benchmark's trace chunks once, up front:
     // every cell's cursors then stream from the shared store instead
@@ -1093,23 +420,16 @@ runDetailedCampaign(const WorkloadSet &workloads,
                                      opts.seed);
         c.refIpc = ref_sim.referenceIpcs(suite);
     }
-
-    c.ipc.reshape(policies.size(), workloads.size(), cores);
-    auto journal =
-        openJournal(opts, c, policies.size(), workloads.size());
-    std::vector<UncoreConfig> ucfgs;
-    ucfgs.reserve(policies.size());
-    for (PolicyKind p : policies)
-        ucfgs.push_back(UncoreConfig::forCores(cores, p));
-    runCells(c, opts, journal.get(), "detailed",
-             [&](std::size_t p, std::size_t w,
-                 std::uint64_t seed) -> SimResult {
-                 const DetailedMulticoreSim sim(core_cfg, ucfgs[p],
-                                                cores, target_uops,
-                                                seed);
-                 const Workload wl = workloads[w];
-                 return sim.run(wl, suite);
-             });
+    const std::vector<UncoreConfig> ucfgs =
+        uncoreConfigs(cores, policies);
+    runCampaignShards(
+        c, opts,
+        [&](const persist::V3Manifest &m, const WorkloadPopulation &pop,
+            std::uint64_t s, std::vector<double> &payload) {
+            simulateDetailedPopulationShard(m, pop, core_cfg, ucfgs,
+                                            suite, opts.seed, s,
+                                            payload);
+        });
     return c;
 }
 

@@ -7,21 +7,23 @@
  * sample once with BADCO, then study sampling methods on the
  * resulting numbers).
  *
- * Campaigns are durable, validated artifacts (docs/ROBUSTNESS.md):
- * the on-disk `campaign_v2` format carries a configuration
- * fingerprint and an integrity footer, files are replaced
- * atomically, long runs checkpoint each completed (policy,
- * workload) cell to a journal and resume after a crash, and a
- * corrupt or stale cache file is quarantined and regenerated
- * instead of aborting the run.  Population-scale runs persist to
- * the sharded binary `campaign_v3` directory format
- * (src/stats/persist_v3.hh); Campaign::load reads both.
+ * There is one campaign engine: the campaign_v3 shard loop of
+ * sim/population.hh.  A campaign's workload list becomes the rows of
+ * a campaign_v3 manifest (src/stats/persist_v3.hh) — a rank range
+ * when it is a population range from rank 0, a rank list otherwise
+ * — and runs through the same shard simulators as population
+ * campaigns.  Campaigns are durable, validated artifacts
+ * (docs/ROBUSTNESS.md): every file carries a checksum and is
+ * replaced atomically, the manifest carries a configuration
+ * fingerprint and is written last, a killed run resumes from the
+ * shards it already wrote, and a corrupt or stale cache is
+ * quarantined and regenerated instead of aborting the run.
  *
- * The policy x workload matrix is embarrassingly parallel: with
- * CampaignOptions::jobs > 1 the cells run on the exec/ work-stealing
- * pool, each seeded independently by campaignCellSeed, and the
- * resulting IPC matrix is bitwise identical to a serial run
- * (docs/PARALLELISM.md).
+ * Every cell is seeded independently by campaignCellSeed, and a
+ * shard's rows depend only on the row count, so with
+ * CampaignOptions::jobs > 1 the shards run on the exec/
+ * work-stealing pool and the IPC matrix is bitwise identical to a
+ * serial run (docs/PARALLELISM.md).
  */
 
 #ifndef WSEL_SIM_CAMPAIGN_HH
@@ -29,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -45,6 +46,7 @@
 #include "sim/multicore.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 
 namespace wsel
 {
@@ -303,17 +305,10 @@ struct Campaign
 
     /**
      * Configuration fingerprint (campaignFingerprint) persisted in
-     * the v2/v3 headers so caches detect config drift the filename
-     * key missed.  0 in campaigns loaded from v1 files.
+     * the manifest so caches detect config drift the cache key
+     * missed.
      */
     std::uint64_t fingerprint = 0;
-
-    /**
-     * Format version this campaign was loaded from (2 for new
-     * in-memory campaigns; 3 when loaded from a sharded binary
-     * campaign_v3 directory).
-     */
-    int formatVersion = 2;
 
     /** Index of @p kind in policies; fatal when absent. */
     std::size_t policyIndex(PolicyKind kind) const;
@@ -338,29 +333,28 @@ struct Campaign
     double mips() const;
 
     /**
-     * Persist in the campaign_v2 format (fingerprint header,
-     * record-count + checksum footer) via an atomic replace.
-     * Population-scale campaigns should be written as campaign_v3
-     * shards by the population runner instead (sim/population.hh).
+     * Persist as the campaign_v3 directory @p dir (created if
+     * missing; its old manifest and shards are replaced), manifest
+     * last.
      */
-    void save(const std::string &path) const;
+    void save(const std::string &dir) const;
 
     /**
-     * Load a persisted campaign: a campaign_v3 directory when
-     * @p path is one, else a v2 (or legacy v1) file.
+     * Load the campaign_v3 directory @p dir.
      * @see LoadMode for failure semantics.
      */
-    static Campaign load(const std::string &path,
+    static Campaign load(const std::string &dir,
                          LoadMode mode = LoadMode::Strict);
 };
 
 /**
  * Fingerprint of everything that determines a campaign's numbers:
  * simulator kind, core count, slice length, policy list, and the
- * suite (benchmark names and parameter hashes).  Stored in v2
- * headers and journals; compared by cachedCampaign so a stale
- * cache is detected even when the filename key did not change
- * (e.g. a edited benchmark profile or policy list).
+ * suite (benchmark names and parameter hashes).  Stored in the
+ * campaign_v3 manifest and shard headers; compared by
+ * cachedCampaign so a stale cache is detected even when the cache
+ * key did not change (e.g. an edited benchmark profile or policy
+ * list).
  */
 std::uint64_t campaignFingerprint(
     const std::string &simulator, std::uint32_t cores,
@@ -386,38 +380,26 @@ std::uint64_t campaignCellSeed(std::uint64_t fingerprint,
 struct CampaignOptions
 {
     std::uint64_t seed = 1;
-    bool verbose = false;      ///< progress lines on stderr
-    std::size_t progressEvery = 500;
+    bool verbose = false; ///< one progress line per shard on stderr
 
     /**
-     * Worker threads simulating (policy, workload) cells.  1 (the
-     * default) runs the cells serially on the calling thread in
-     * row-major order; 0 asks for exec::defaultJobs() ($WSEL_JOBS,
-     * else the hardware concurrency); N > 1 uses a work-stealing
-     * pool of N threads.  The IPC matrix is bitwise independent of
-     * this setting (docs/PARALLELISM.md).
+     * Worker threads simulating shards.  1 (the default) runs the
+     * shards serially on the calling thread; 0 asks for
+     * exec::defaultJobs() ($WSEL_JOBS, else the hardware
+     * concurrency); N > 1 uses a work-stealing pool of N threads.
+     * The IPC matrix is bitwise independent of this setting
+     * (docs/PARALLELISM.md).
      */
     std::size_t jobs = 1;
 
     /**
-     * Journal records buffered per fsync.  0 (the default) picks
-     * automatically: 1 when running serially (every cell durable
-     * before the next starts, the PR-1 contract), a small batch
-     * when jobs > 1 so concurrent completions amortize the fsync.
-     * A kill loses at most the unflushed batch; completed batches
-     * and the final artifact are always durable.
+     * When non-empty, the campaign is written to this campaign_v3
+     * directory as it runs: each shard lands atomically when it
+     * completes and the manifest commits the whole.  Intact shards
+     * already there (left by a killed run of the same campaign, at
+     * any job count) are reused, not re-simulated.
      */
-    std::size_t journalBatch = 0;
-
-    /**
-     * When non-empty, each completed (policy, workload) cell is
-     * appended (and fsynced, see journalBatch) to this journal
-     * file, and a journal left behind by a killed run is replayed
-     * on start so the campaign resumes from the first missing
-     * cell.  The caller removes the journal once the final
-     * artifact is saved.
-     */
-    std::string journalPath;
+    std::string artifactDir;
 };
 
 /**
@@ -445,22 +427,22 @@ Campaign runDetailedCampaign(
     const CampaignOptions &opts = {});
 
 /**
- * Load the campaign cached under @p cache_key in the WSEL cache
- * directory if present; otherwise invoke @p produce and persist the
- * result.  With no cache directory configured, always produces.
+ * Load the campaign cached as `campaign_v3_<cache_key>/` in the
+ * WSEL cache directory if it is committed; otherwise invoke
+ * @p produce and persist the result there.  With no cache directory
+ * configured, always produces.
  *
  * Robustness semantics:
- *  - An advisory lock (`<file>.lock`) serializes concurrent
+ *  - An advisory lock (`<dir>.lock`) serializes concurrent
  *    processes on the same key; the loser of the race blocks and
  *    then loads the winner's result instead of re-simulating.
- *  - A cached file that is truncated, checksum-mismatched,
- *    version-skewed, or (when @p expected_fingerprint is nonzero)
- *    fingerprint-mismatched is quarantined to `*.corrupt` with a
- *    warning and the campaign is regenerated.
- *  - @p produce may accept a journal path argument; the runners
- *    checkpoint into it and resume from it, so a killed process
- *    loses at most one workload of work.  The journal is removed
- *    after the final artifact is saved.
+ *  - A cached campaign that is damaged, or (when
+ *    @p expected_fingerprint is nonzero) fingerprint-mismatched, is
+ *    quarantined to `*.corrupt` with a warning and regenerated.
+ *  - @p produce may accept the artifact directory as an argument;
+ *    the runners write their shards there as they go
+ *    (CampaignOptions::artifactDir), so a killed process resumes
+ *    from the shards it had written.
  */
 template <typename ProduceFn>
 Campaign
@@ -468,46 +450,41 @@ cachedCampaign(const std::string &cache_key,
                std::uint64_t expected_fingerprint,
                ProduceFn &&produce)
 {
-    auto invoke = [&](const std::string &journal) -> Campaign {
+    auto invoke = [&](const std::string &artifact) -> Campaign {
         if constexpr (std::is_invocable_v<ProduceFn &,
                                           const std::string &>) {
-            return produce(journal);
+            return produce(artifact);
         } else {
-            (void)journal;
+            (void)artifact;
             return produce();
         }
     };
     const std::string dir = defaultCacheDir();
     if (dir.empty())
         return invoke("");
-    const std::string path =
-        dir + "/campaign_v2_" + cache_key + ".csv";
+    const std::string path = dir + "/campaign_v3_" + cache_key;
     persist::FileLock lock(path + ".lock");
-    if (std::filesystem::exists(path)) {
+    if (persist::isV3CampaignDir(path)) {
         try {
             Campaign c = Campaign::load(path, LoadMode::Cached);
-            if (c.formatVersion >= 2 &&
-                (expected_fingerprint == 0 ||
-                 c.fingerprint == expected_fingerprint)) {
+            if (expected_fingerprint == 0 ||
+                c.fingerprint == expected_fingerprint) {
                 obs::counter("persist.cache_hit").inc();
                 return c;
             }
             const std::string moved = persist::quarantineFile(path);
             warn("stale campaign cache at " + path +
-                 (c.formatVersion < 2
-                      ? " (old format version)"
-                      : " (configuration fingerprint changed)") +
+                 " (configuration fingerprint changed)" +
                  (moved.empty() ? "" : "; quarantined to " + moved) +
                  "; re-simulating");
         } catch (const persist::CacheInvalid &) {
-            // load() already quarantined the file and warned.
+            // load() already quarantined the directory and warned.
         }
     }
     obs::counter("persist.cache_miss").inc();
-    Campaign c = invoke(path + ".partial");
-    c.save(path);
-    std::error_code ec;
-    std::filesystem::remove(path + ".partial", ec);
+    Campaign c = invoke(path);
+    if (!persist::isV3CampaignDir(path))
+        c.save(path);
     return c;
 }
 

@@ -17,11 +17,14 @@
  *    ever holding a population-sized vector.
  *
  * Per-cell seeds come from campaignCellSeed(fingerprint, seed,
- * policy, absolute rank), identical to an explicit-list campaign
- * over the same ranks, and shard files carry no timing, so serial
- * and --jobs N runs produce bitwise-identical artifacts and the
- * per-shard statistics merge deterministically in shard order
+ * policy, absolute rank), and shard files carry no timing, so
+ * serial and --jobs N runs produce bitwise-identical artifacts and
+ * the per-shard statistics merge deterministically in shard order
  * (docs/PARALLELISM.md contract extended to shards).
+ *
+ * The shard loop itself (runV3Shards) and the three shard
+ * simulators are shared with runBadcoCampaign/runDetailedCampaign
+ * (sim/campaign.hh), which run list-mode manifests through them.
  */
 
 #ifndef WSEL_SIM_POPULATION_HH
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,11 +168,13 @@ struct PopulationResult
  * Simulate one campaign_v3 shard's cells into @p payload (resized
  * to rowsInShard(shard) x policies x cores, row-major: workload,
  * policy, core).  This is the unit of work shared by the
- * in-process population runner and the `wsel_worker` processes of
- * the distributed campaign service (src/serve/): per-cell seeds
- * come from campaignCellSeed(m.fingerprint, base_seed, policy,
- * absolute rank), so any process producing a given shard produces
- * bitwise-identical bytes.
+ * in-process runners and the `wsel_worker` processes of the
+ * distributed campaign service (src/serve/).  Rows come from the
+ * manifest's rank range or, in list mode, its rank list; per-cell
+ * seeds are campaignCellSeed(m.fingerprint, base_seed, policy,
+ * firstRank + row position) — the absolute rank in range mode, the
+ * list index in list mode — so any process producing a given shard
+ * produces bitwise-identical bytes.
  *
  * @p ucfgs must hold one UncoreConfig per manifest policy (in
  * order) and @p models one BADCO model per suite benchmark.
@@ -224,6 +230,36 @@ void simulateDetailedPopulationShard(
     std::uint64_t base_seed, std::uint64_t shard,
     std::vector<double> &payload,
     const std::function<void()> &tick = {});
+
+/** What one pass of runV3Shards did. */
+struct ShardLoopStats
+{
+    std::uint64_t cellsSimulated = 0;
+    std::uint64_t cellsResumed = 0;
+    std::uint64_t shardsWritten = 0;
+    std::uint64_t shardsResumed = 0;
+    double simSeconds = 0.0; ///< summed wall of simulated shards
+};
+
+/**
+ * The shard loop behind every in-process campaign_v3 runner.  For
+ * each shard of @p m: when @p dir is non-empty, reuse the intact
+ * shard already there (a damaged one is quarantined), else call
+ * @p simulate and write the shard atomically; then hand the payload
+ * to @p consume.  Shards run on min(jobs, shards) threads (@p jobs
+ * resolved by exec::resolveJobs), so @p consume may run
+ * concurrently for different shards.  Each simulated shard is a
+ * "<runner>.shard" span and counts its cells into "<runner>.cells";
+ * the loop sets "<runner>.cells_per_sec".  @p dir is created when
+ * missing; the caller commits the manifest.
+ */
+ShardLoopStats runV3Shards(
+    const persist::V3Manifest &m, const std::string &dir,
+    std::size_t jobs, bool verbose, const std::string &runner,
+    const std::function<void(std::uint64_t, std::vector<double> &)>
+        &simulate,
+    const std::function<void(std::uint64_t, std::span<const double>)>
+        &consume);
 
 /**
  * Run (or resume) a BADCO population campaign over ranks

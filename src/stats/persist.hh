@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-safe persistence primitives shared by every on-disk cache
- * writer (campaign CSVs, BADCO model binaries, campaign journals):
+ * writer (campaign_v3 shards and manifests, BADCO model binaries):
  * atomic file replacement, advisory file locking, a streaming
  * checksum, corrupt-artifact quarantine, and test-only fault
  * injection kill-points.

@@ -20,7 +20,34 @@ constexpr char kManifestMagic[8] = {'W', 'S', 'V', '3',
 constexpr char kShardMagic[8] = {'W', 'S', 'V', '3',
                                  'S', 'H', 'R', 'D'};
 
+/** C(b+k-1, k), the population size, saturating at UINT64_MAX. */
+std::uint64_t
+populationSize(std::uint64_t b, std::uint64_t k)
+{
+    if (b == 0)
+        return 0;
+    unsigned __int128 n = 1;
+    for (std::uint64_t i = 1; i <= k; ++i) {
+        n = n * (b - 1 + i) / i; // exact: n is C(b-2+i, i-1)
+        if (n > UINT64_MAX)
+            return UINT64_MAX;
+    }
+    return static_cast<std::uint64_t>(n);
+}
+
 } // namespace
+
+std::uint64_t
+V3Manifest::shardTag() const
+{
+    if (!listMode())
+        return fingerprint;
+    Fnv1a h;
+    h.updateU64(fingerprint);
+    for (std::uint64_t r : ranks)
+        h.updateU64(r);
+    return h.digest();
+}
 
 std::uint64_t
 V3Manifest::shardCount() const
@@ -61,6 +88,20 @@ v3ShardPath(const std::string &dir, std::uint64_t shard)
     return dir + "/" + v3ShardName(shard);
 }
 
+void
+clearV3Dir(const std::string &dir)
+{
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (name == "manifest.bin" ||
+            (name.rfind("shard-", 0) == 0 && name.size() > 10 &&
+             name.compare(name.size() - 4, 4, ".bin") == 0))
+            std::filesystem::remove(it->path(), ec);
+    }
+}
+
 bool
 isV3CampaignDir(const std::string &path)
 {
@@ -79,11 +120,15 @@ writeV3Manifest(const std::string &dir, const V3Manifest &m)
         WSEL_FATAL("v3 manifest with zero shard rows");
     if (m.refIpc.size() != m.benchmarks.size())
         WSEL_FATAL("v3 manifest refIpc/benchmark size mismatch");
+    if (m.listMode() &&
+        (m.firstRank != 0 || m.ranks.size() != m.rows()))
+        WSEL_FATAL("v3 manifest rank list does not match its rows");
     std::string out;
     out.reserve(256 + 16 * (m.policies.size() +
-                            m.benchmarks.size()));
+                            m.benchmarks.size()) +
+                8 * m.ranks.size());
     out.append(kManifestMagic, 8);
-    appendU32(out, kV3Version);
+    appendU32(out, m.listMode() ? kV3ListVersion : kV3Version);
     appendU64(out, m.fingerprint);
     appendString(out, m.simulator);
     appendU32(out, m.cores);
@@ -103,6 +148,11 @@ writeV3Manifest(const std::string &dir, const V3Manifest &m)
     appendU64(out, m.firstRank);
     appendU64(out, m.lastRank);
     appendU64(out, m.shardRows);
+    if (m.listMode()) {
+        appendU64(out, m.ranks.size());
+        for (std::uint64_t r : m.ranks)
+            appendU64(out, r);
+    }
     appendChecksum(out);
     atomicWriteFile(v3ManifestPath(dir), out);
 }
@@ -116,7 +166,7 @@ readV3Manifest(const std::string &dir)
     Reader r(body, what);
     r.expectMagic(kManifestMagic);
     const std::uint32_t version = r.u32();
-    if (version != kV3Version)
+    if (version != kV3Version && version != kV3ListVersion)
         throw CacheInvalid(what + ": unsupported version " +
                            std::to_string(version));
     // Every size below is bounds-checked *before* it drives an
@@ -163,16 +213,36 @@ readV3Manifest(const std::string &dir)
         m.refIpc.push_back(r.f64());
     m.popBenchmarks = r.u32();
     m.popCores = r.u32();
+    checkCount(m.popBenchmarks, 1u << 20, "population benchmarks");
+    checkCount(m.popCores, 1024, "population cores");
     m.firstRank = r.u64();
     m.lastRank = r.u64();
     m.shardRows = r.u64();
-    if (r.remaining() != 0)
-        throw CacheInvalid(what + ": trailing bytes");
     if (m.lastRank < m.firstRank || m.shardRows == 0 ||
         m.policies.empty() || m.cores == 0)
         throw CacheInvalid(what + ": inconsistent geometry");
-    checkCount(m.popBenchmarks, 1u << 20, "population benchmarks");
-    checkCount(m.popCores, 1024, "population cores");
+    if (version == kV3ListVersion) {
+        // Count, then every rank, checked before it is stored.
+        const std::uint64_t n = r.u64();
+        checkCount(n, r.remaining() / 8, "rank count");
+        if (m.firstRank != 0 || n != m.rows())
+            throw CacheInvalid(what + ": rank list of " +
+                               std::to_string(n) + " entries for " +
+                               std::to_string(m.rows()) + " rows");
+        const std::uint64_t size =
+            populationSize(m.popBenchmarks, m.popCores);
+        m.ranks.reserve(static_cast<std::size_t>(n));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            m.ranks.push_back(r.u64());
+            if (m.ranks.back() >= size)
+                throw CacheInvalid(what + ": rank " +
+                                   std::to_string(m.ranks.back()) +
+                                   " outside the population of " +
+                                   std::to_string(size));
+        }
+    }
+    if (r.remaining() != 0)
+        throw CacheInvalid(what + ": trailing bytes");
     // Rank range and shard geometry: cap so rows() and every
     // rows-per-shard x policies x cores product fits comfortably
     // in 64 bits (and a single shard's payload in size_t).
@@ -207,7 +277,7 @@ writeV3Shard(const std::string &dir, const V3Manifest &m,
     out.append(kShardMagic, 8);
     appendU32(out, kV3Version);
     appendU32(out, static_cast<std::uint32_t>(shard));
-    appendU64(out, m.fingerprint);
+    appendU64(out, m.shardTag());
     appendU32(out, m.cores);
     appendU32(out, static_cast<std::uint32_t>(m.policies.size()));
     appendU64(out, m.shardFirstRank(shard));
@@ -238,7 +308,7 @@ readV3Shard(const std::string &dir, const V3Manifest &m,
         throw CacheInvalid(what + ": unsupported version");
     if (r.u32() != shard)
         throw CacheInvalid(what + ": wrong shard index");
-    if (r.u64() != m.fingerprint)
+    if (r.u64() != m.shardTag())
         throw CacheInvalid(what + ": fingerprint mismatch");
     if (r.u32() != m.cores ||
         r.u32() != static_cast<std::uint32_t>(m.policies.size()))

@@ -1,8 +1,9 @@
 /**
  * @file
- * Sharded binary campaign format (`campaign_v3`) for
- * population-scale runs (docs/PERFORMANCE.md, "Population
- * campaigns").
+ * Sharded binary campaign format (`campaign_v3`), the one on-disk
+ * form of every campaign: population, hybrid and serve runs, and
+ * the sampled campaigns behind Campaign::save/load
+ * (docs/PERFORMANCE.md, "Population campaigns").
  *
  * A v3 artifact is a *directory*:
  *
@@ -17,17 +18,24 @@
  * leaves each shard either absent, complete, or quarantinable, and
  * a resumed run regenerates exactly the missing/invalid shards.
  *
- * Shard s covers workload ranks
- * [firstRank + s*shardRows, firstRank + min((s+1)*shardRows, rows))
- * of the population in rank order.  Its payload is
- * rowsInShard(s) x policies x cores doubles, row-major (workload,
- * then policy, then core) — the order cells are produced in, so
- * writers stream.  Shards carry no wall-clock timing (that lives in
- * the manifest), which is what makes serial and --jobs N runs
- * bitwise identical per shard.
+ * Shard s covers campaign rows
+ * [s*shardRows, min((s+1)*shardRows, rows)) in row order.  A
+ * manifest names its rows in one of two modes:
  *
- * campaign_v2 (text, explicit workload list) remains the format for
- * sampled campaigns; Campaign::load dispatches on the path type.
+ *  - range mode (version 1): row r is population rank
+ *    firstRank + r — population, hybrid and serve campaigns;
+ *  - list mode (version 2): row r is rank `ranks[r]`, an explicit
+ *    rank list (duplicates allowed, as sampling with replacement
+ *    produces) stored under the manifest checksum — the sampled
+ *    campaigns of runBadcoCampaign/runDetailedCampaign.
+ *
+ * Either way a cell's seed position is firstRank + r (firstRank is
+ * 0 in list mode).  A shard's payload is rowsInShard(s) x policies
+ * x cores doubles, row-major (workload, then policy, then core) —
+ * the order cells are produced in, so writers stream.  Shards
+ * carry no wall-clock timing (that lives in the manifest), which
+ * is what makes serial and --jobs N runs bitwise identical per
+ * shard.
  */
 
 #ifndef WSEL_STATS_PERSIST_V3_HH
@@ -41,7 +49,11 @@
 namespace wsel::persist
 {
 
+/** Version of every shard and of a range-mode manifest. */
 inline constexpr std::uint32_t kV3Version = 1;
+
+/** Version of a list-mode manifest (ranks follow shardRows). */
+inline constexpr std::uint32_t kV3ListVersion = 2;
 
 /** Shard payload geometry and campaign identity (manifest.bin). */
 struct V3Manifest
@@ -61,9 +73,26 @@ struct V3Manifest
     std::uint64_t lastRank = 0;      ///< one past the last rank
     std::uint64_t shardRows = 0;     ///< workload rows per shard
 
+    /**
+     * List mode: the population rank of each row (rows() entries,
+     * firstRank 0).  Empty in range mode.
+     */
+    std::vector<std::uint64_t> ranks;
+
+    bool listMode() const { return !ranks.empty(); }
     std::uint64_t rows() const { return lastRank - firstRank; }
+
+    /**
+     * Identity stamped into every shard header: the fingerprint,
+     * mixed with the rank list in list mode, so a resumed run never
+     * adopts shards simulated for another sample.
+     */
+    std::uint64_t shardTag() const;
+
     std::uint64_t shardCount() const;
     std::uint64_t rowsInShard(std::uint64_t shard) const;
+    /** Seed position of the shard's first row: its population rank
+     * in range mode, its list index in list mode. */
     std::uint64_t shardFirstRank(std::uint64_t shard) const
     {
         return firstRank + shard * shardRows;
@@ -78,6 +107,12 @@ std::string v3ShardPath(const std::string &dir, std::uint64_t shard);
 
 /** True when @p path is a directory containing a manifest.bin. */
 bool isV3CampaignDir(const std::string &path);
+
+/**
+ * Remove the manifest and every shard file from @p dir, leaving any
+ * other file alone (a fresh, non-resuming run).
+ */
+void clearV3Dir(const std::string &dir);
 
 /** Atomically write the manifest (call after all shards). */
 void writeV3Manifest(const std::string &dir, const V3Manifest &m);

@@ -389,12 +389,7 @@ class AdaptivePersist : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_adaptive_persist_") +
-                 info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_adaptive_persist").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -489,11 +484,7 @@ class AdaptiveCampaign : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_adaptive_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_adaptive").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         unsetenv("WSEL_JOBS");

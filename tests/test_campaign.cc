@@ -3,14 +3,18 @@
  * Tests for campaign running, persistence and throughput extraction.
  */
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "sim/campaign.hh"
 #include "stats/logging.hh"
+#include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 #include "test_util.hh"
 
 namespace wsel
@@ -89,10 +93,11 @@ TEST(Campaign, PerWorkloadThroughputsMatchManualFormula)
 TEST(Campaign, SaveLoadRoundTrip)
 {
     const Campaign c = tinyCampaign();
-    const auto path = std::filesystem::temp_directory_path() /
-                      "wsel_test_campaign.csv";
+    const auto path = test::scratchPath("wsel_test_campaign");
     c.save(path.string());
     const Campaign r = Campaign::load(path.string());
+    // Three workloads: one row per shard whatever the job count.
+    EXPECT_EQ(persist::readV3Manifest(path.string()).shardRows, 1u);
     EXPECT_EQ(r.simulator, c.simulator);
     EXPECT_EQ(r.cores, c.cores);
     EXPECT_EQ(r.targetUops, c.targetUops);
@@ -107,13 +112,12 @@ TEST(Campaign, SaveLoadRoundTrip)
         for (std::size_t w = 0; w < c.workloads.size(); ++w)
             for (std::size_t k = 0; k < c.cores; ++k)
                 EXPECT_DOUBLE_EQ(r.ipc[p][w][k], c.ipc[p][w][k]);
-    std::filesystem::remove(path);
+    std::filesystem::remove_all(path);
 }
 
 TEST(Campaign, LoadRejectsGarbage)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-                      "wsel_test_garbage.csv";
+    const auto path = test::scratchPath("wsel_test_garbage.csv");
     {
         std::ofstream os(path);
         os << "hello,world\n";
@@ -124,8 +128,7 @@ TEST(Campaign, LoadRejectsGarbage)
 
 TEST(Campaign, CachedCampaignProducesOnceThenLoads)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "wsel_test_campaign_cache";
+    const auto dir = test::scratchPath("wsel_test_campaign_cache");
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     setenv("WSEL_CACHE_DIR", dir.c_str(), 1);
@@ -155,6 +158,33 @@ TEST(Campaign, DetailedCampaignRuns)
         EXPECT_GT(ipc, 0.0);
 }
 
+TEST(Campaign, CampaignInstrumentsMove)
+{
+    // Every campaign.* instrument in the metrics catalog must move
+    // on a plain runBadcoCampaign run, so the catalog never lists a
+    // number the engine cannot produce.
+    obs::enableMetrics();
+    const obs::MetricsSnapshot before = obs::metricsSnapshot();
+    tinyCampaign();
+    const obs::MetricsSnapshot after = obs::metricsSnapshot();
+    obs::enableMetrics(false);
+    std::size_t seen = 0;
+    for (const obs::MetricsEntry &e : after.entries) {
+        if (e.name.rfind("campaign.", 0) != 0)
+            continue;
+        ++seen;
+        double was = 0.0;
+        for (const obs::MetricsEntry &b : before.entries)
+            if (b.name == e.name)
+                was = b.value;
+        if (e.type == "gauge")
+            EXPECT_GT(e.value, 0.0) << e.name;
+        else
+            EXPECT_GT(e.value, was) << e.name;
+    }
+    EXPECT_GE(seen, 2u);
+}
+
 TEST(Campaign, EmptyInputsFatal)
 {
     const auto suite = testSuite();
@@ -162,6 +192,110 @@ TEST(Campaign, EmptyInputsFatal)
     EXPECT_THROW(runBadcoCampaign({}, {PolicyKind::LRU}, 2, 1000,
                                   store, suite),
                  FatalError);
+}
+
+namespace
+{
+
+/** FNV-1a over the bit patterns of @p v. */
+std::uint64_t
+digestDoubles(std::span<const double> v)
+{
+    persist::Fnv1a h;
+    for (double d : v)
+        h.updateU64(std::bit_cast<std::uint64_t>(d));
+    return h.digest();
+}
+
+struct CampaignDigest
+{
+    std::uint64_t ipc, refIpc, fingerprint;
+};
+
+CampaignDigest
+digestOf(const Campaign &c)
+{
+    return {digestDoubles(c.ipc.data()), digestDoubles(c.refIpc),
+            c.fingerprint};
+}
+
+std::vector<BenchmarkProfile>
+goldenSuite()
+{
+    return {test::lightProfile(7), test::heavyProfile(11),
+            test::lightProfile(13)};
+}
+
+/** A sample with a repeated rank, as sampling with replacement
+ * produces. */
+WorkloadSet
+goldenSample(const WorkloadPopulation &pop)
+{
+    return WorkloadSet::fromRanks(pop, {4, 0, 5, 2, 2, 1});
+}
+
+void
+expectDigest(const Campaign &c, const CampaignDigest &want)
+{
+    const CampaignDigest got = digestOf(c);
+    EXPECT_EQ(got.ipc, want.ipc) << std::hex << got.ipc;
+    EXPECT_EQ(got.refIpc, want.refIpc) << std::hex << got.refIpc;
+    EXPECT_EQ(got.fingerprint, want.fingerprint)
+        << std::hex << got.fingerprint;
+}
+
+} // namespace
+
+// The IPC bytes a campaign produces are a contract: they may not move
+// when the engine underneath changes.  The constants were computed by
+// the in-memory engine that preceded the shard-backed one.
+TEST(CampaignGolden, BadcoRankSampleAtOneAndFourJobs)
+{
+    const auto suite = goldenSuite();
+    const WorkloadPopulation pop(3, 2);
+    BadcoModelStore store(CoreConfig{}, 5000, 5);
+    const CampaignDigest want{0xf930d09eefa1f6d4ULL,
+                              0x01b19c7025dbdbc6ULL,
+                              0xcf64cd5e987bbe8cULL};
+    for (std::size_t jobs : {1, 4}) {
+        CampaignOptions opts;
+        opts.seed = 3;
+        opts.jobs = jobs;
+        expectDigest(runBadcoCampaign(goldenSample(pop),
+                                      {PolicyKind::LRU,
+                                       PolicyKind::DIP},
+                                      2, 5000, store, suite, opts),
+                     want);
+    }
+}
+
+TEST(CampaignGolden, DetailedRankSample)
+{
+    const auto suite = goldenSuite();
+    const WorkloadPopulation pop(3, 2);
+    CampaignOptions opts;
+    opts.seed = 3;
+    opts.jobs = 2;
+    expectDigest(runDetailedCampaign(goldenSample(pop),
+                                     {PolicyKind::LRU,
+                                      PolicyKind::DRRIP},
+                                     2, 3000, CoreConfig{}, suite,
+                                     opts),
+                 {0xae570a0ab1b5a923ULL, 0x10fc383efd788b86ULL,
+                  0x84612dfacf5078dbULL});
+}
+
+TEST(CampaignGolden, BadcoEnumeratedList)
+{
+    const auto suite = goldenSuite();
+    const WorkloadPopulation pop(3, 2);
+    BadcoModelStore store(CoreConfig{}, 5000, 5);
+    expectDigest(runBadcoCampaign(pop.enumerateAll(),
+                                  {PolicyKind::LRU, PolicyKind::DIP,
+                                   PolicyKind::FIFO},
+                                  2, 5000, store, suite),
+                 {0xd46f279607c430e4ULL, 0x01b19c7025dbdbc6ULL,
+                  0x4ff93a819bbdea8dULL});
 }
 
 } // namespace wsel

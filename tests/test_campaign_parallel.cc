@@ -3,9 +3,9 @@
  * Determinism tests for parallel campaign execution: the IPC
  * matrix must be bitwise identical for any --jobs count, a
  * campaign killed mid-run under parallel jobs must resume from its
- * journal to the exact uninterrupted matrix (for both per-cell and
- * batched journal fsync), and the per-cell seed derivation must be
- * stable and collision-free across the matrix.
+ * shards to the exact uninterrupted matrix (shards written at one
+ * job count resume at another), and the per-cell seed derivation
+ * must be stable and collision-free across the matrix.
  */
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "sim/campaign.hh"
 #include "sim/characterize.hh"
 #include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 #include "test_util.hh"
 #include "trace/trace_store.hh"
 
@@ -68,18 +69,14 @@ expectSameResults(const Campaign &a, const Campaign &b)
     }
 }
 
-/** Per-test scratch directory for models and journals. */
+/** Per-test scratch directory for models and campaign shards. */
 class CampaignParallel : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_parallel_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_parallel").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         // A leaked WSEL_JOBS would change what jobs=0 means.
@@ -105,8 +102,7 @@ class CampaignParallel : public ::testing::Test
      */
     Campaign
     runParallel(std::uint32_t cores, std::size_t jobs,
-                const std::string &journal = "",
-                std::size_t batch = 0)
+                const std::string &artifact = "")
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(2, cores);
@@ -114,8 +110,7 @@ class CampaignParallel : public ::testing::Test
                               path("models"));
         CampaignOptions opts;
         opts.jobs = jobs;
-        opts.journalBatch = batch;
-        opts.journalPath = journal;
+        opts.artifactDir = artifact;
         return runBadcoCampaign(pop.enumerateAll(), kPolicies,
                                 cores, kUops, store, suite, opts);
     }
@@ -150,60 +145,53 @@ TEST_F(CampaignParallel, KillAndResumeUnderParallelJobs)
         base.policies.size() * base.workloads.size();
     ASSERT_EQ(total, 10u);
 
-    // batch 1: every completed cell is durable individually;
-    // batch 0 (auto, 16 when parallel): the whole run fits one
-    // batch, so the kill lands in the final flush instead.
-    int variant = 0;
-    for (const std::size_t batch : {1, 0}) {
-        for (const std::size_t n : {std::size_t{2}, total - 1}) {
-            const std::string journal =
-                path("kill" + std::to_string(variant++) +
-                     ".partial");
-            {
-                test::FaultInjector kill("journal.append", n);
-                EXPECT_THROW(runParallel(4, 8, journal, batch),
-                             test::InjectedFault)
-                    << "batch " << batch << " kill " << n;
-            }
-            ASSERT_TRUE(fs::exists(journal));
-            const Campaign resumed =
-                runParallel(4, 8, journal, batch);
-            expectSameResults(base, resumed);
+    // Which shards finish before the kill depends on the schedule;
+    // the resumed matrix must not.
+    for (const std::size_t n : {std::size_t{2}, total - 1}) {
+        const std::string art = path("kill" + std::to_string(n));
+        {
+            test::FaultInjector kill("population.cell", n);
+            EXPECT_THROW(runParallel(4, 8, art), test::InjectedFault)
+                << "kill " << n;
         }
+        const Campaign resumed = runParallel(4, 8, art);
+        expectSameResults(base, resumed);
     }
 }
 
-TEST_F(CampaignParallel, ResumedJournalSkipsSimulatedCells)
+TEST_F(CampaignParallel, ResumedShardsSkipSimulatedCells)
 {
-    const std::string journal = path("skip.partial");
-    const Campaign full = runParallel(4, 8, journal, 5);
-    // The journal holds all 10 records, so a rerun replays them
-    // and never appends (or simulates) anything.
+    const std::string art = path("skip");
+    const Campaign full = runParallel(4, 8, art);
+    // Every shard is on disk, so a rerun reuses them all and
+    // simulates nothing.
     test::FaultInjector counting;
-    const Campaign rerun = runParallel(4, 8, journal, 5);
-    EXPECT_EQ(counting.hits("journal.append"), 0u);
-    EXPECT_EQ(counting.hits("journal.before-append"), 0u);
+    const Campaign rerun = runParallel(4, 8, art);
+    EXPECT_EQ(counting.hits("population.cell"), 0u);
     expectSameResults(full, rerun);
 }
 
-TEST_F(CampaignParallel, SerialAndParallelJournalsInterchange)
+TEST_F(CampaignParallel, SerialAndParallelShardsInterchange)
 {
-    // A journal written by a parallel run must resume a serial run
-    // and vice versa: the record format and the per-cell seeds do
-    // not depend on the job count.
-    const Campaign base = runParallel(2, 1);
-    for (const std::size_t writer_jobs : {std::size_t{1}, std::size_t{8}}) {
-        const std::string journal =
-            path("x" + std::to_string(writer_jobs) + ".partial");
+    // Shards written by a parallel run must resume a serial run and
+    // vice versa: the shard geometry and the per-cell seeds depend
+    // on the row count alone, never on the job count.
+    const Campaign base = runParallel(4, 1);
+    for (const std::size_t writer_jobs : {std::size_t{1}, std::size_t{4}}) {
+        const std::string art =
+            path("x" + std::to_string(writer_jobs));
         {
-            test::FaultInjector kill("journal.append", 2);
-            EXPECT_THROW(runParallel(2, writer_jobs, journal, 1),
+            test::FaultInjector kill("population.cell", 5);
+            EXPECT_THROW(runParallel(4, writer_jobs, art),
                          test::InjectedFault);
         }
-        const std::size_t reader_jobs = writer_jobs == 1 ? 8 : 1;
-        const Campaign resumed =
-            runParallel(2, reader_jobs, journal, 1);
+        const std::size_t reader_jobs = writer_jobs == 1 ? 4 : 1;
+        test::FaultInjector counting;
+        const Campaign resumed = runParallel(4, reader_jobs, art);
         expectSameResults(base, resumed);
+        EXPECT_LT(counting.hits("population.cell"), 10u)
+            << "no shard of the killed run was reused";
+        EXPECT_EQ(persist::readV3Manifest(art).shardRows, 1u);
     }
 }
 

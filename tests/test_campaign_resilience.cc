@@ -1,10 +1,10 @@
 /**
  * @file
  * Fault-tolerance tests for campaign persistence: checkpoint/resume
- * via the journal under injected kill-points, integrity validation
- * (truncation, bit flips, version skew, fingerprint drift) with
- * quarantine-and-regenerate semantics, atomic file replacement, and
- * advisory locking across processes.
+ * from campaign_v3 shards under injected kill-points, integrity
+ * validation (truncation, bit flips, version skew, fingerprint
+ * drift, foreign shards) with quarantine-and-regenerate semantics,
+ * atomic file replacement, and advisory locking across processes.
  */
 
 #include <cstdlib>
@@ -25,6 +25,7 @@
 #include "sim/campaign.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 #include "test_util.hh"
 
 namespace wsel
@@ -51,21 +52,23 @@ const std::vector<PolicyKind> kPolicies = {PolicyKind::LRU,
 
 /**
  * Run the 2-policy x 3-workload x 2-core BADCO campaign used
- * throughout these tests, journaling to @p journal when non-empty.
- * @p model_dir (when non-empty) persists BADCO models so repeated
- * runs in one test skip rebuilding them.
+ * throughout these tests (3 one-row shards of 2 cells), writing its
+ * campaign_v3 artifact to @p artifact when non-empty.  @p model_dir
+ * (when non-empty) persists BADCO models so repeated runs in one
+ * test skip rebuilding them.
  */
 Campaign
-runTiny(const std::string &journal = "",
-        const std::string &model_dir = "")
+runTiny(const std::string &artifact = "",
+        const std::string &model_dir = "",
+        const WorkloadSet &workloads = WorkloadPopulation(2, 2)
+                                           .enumerateAll())
 {
     const auto suite = testSuite();
-    const WorkloadPopulation pop(2, 2); // 3 workloads
     BadcoModelStore store(CoreConfig{}, kUops, 5, model_dir);
     CampaignOptions opts;
-    opts.journalPath = journal;
-    return runBadcoCampaign(pop.enumerateAll(), kPolicies, 2, kUops,
-                            store, suite, opts);
+    opts.artifactDir = artifact;
+    return runBadcoCampaign(workloads, kPolicies, 2, kUops, store,
+                            suite, opts);
 }
 
 void
@@ -95,11 +98,7 @@ class Resilience : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_resilience_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_resilience").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         setenv("WSEL_CACHE_DIR", dir_.c_str(), 1);
@@ -118,12 +117,15 @@ class Resilience : public ::testing::Test
         return dir_ + "/" + name;
     }
 
-    /** Files in the scratch dir whose name contains @p needle. */
+    /** Entries of @p dir (default: the scratch dir) whose name
+     * contains @p needle. */
     std::size_t
-    countContaining(const std::string &needle) const
+    countContaining(const std::string &needle,
+                    const std::string &dir = "") const
     {
         std::size_t n = 0;
-        for (const auto &e : fs::directory_iterator(dir_))
+        for (const auto &e :
+             fs::directory_iterator(dir.empty() ? dir_ : dir))
             if (e.path().filename().string().find(needle) !=
                 std::string::npos)
                 ++n;
@@ -134,154 +136,48 @@ class Resilience : public ::testing::Test
 };
 
 // ---------------------------------------------------------------
-// Format v2: round trip, integrity, strict-load error reporting.
+// campaign_v3 integrity: strict-load error reporting.
 // ---------------------------------------------------------------
-
-TEST_F(Resilience, SaveLoadRoundTripV2)
-{
-    const Campaign c = runTiny();
-    EXPECT_NE(c.fingerprint, 0u);
-    const std::string file = path("roundtrip.csv");
-    c.save(file);
-
-    const std::string text = test::readFile(file);
-    EXPECT_EQ(text.rfind("wsel-campaign,v2\n", 0), 0u);
-    EXPECT_NE(text.find("\nfingerprint,"), std::string::npos);
-    EXPECT_NE(text.find("\nfooter,"), std::string::npos);
-
-    const Campaign r = Campaign::load(file);
-    EXPECT_EQ(r.formatVersion, 2);
-    EXPECT_EQ(r.simulator, c.simulator);
-    EXPECT_EQ(r.cores, c.cores);
-    EXPECT_EQ(r.targetUops, c.targetUops);
-    EXPECT_EQ(r.policies, c.policies);
-    EXPECT_EQ(r.benchmarks, c.benchmarks);
-    expectSameResults(r, c);
-}
-
-TEST_F(Resilience, LegacyV1StillLoadsStrict)
-{
-    const Campaign c = runTiny();
-    const std::string file = path("legacy.csv");
-    c.save(file);
-    // Down-convert the saved v2 file to v1: drop the fingerprint
-    // line and the footer, and rewrite the version tag.
-    std::string text = test::readFile(file);
-    const auto fp_at = text.find("fingerprint,");
-    const auto fp_end = text.find('\n', fp_at);
-    text.erase(fp_at, fp_end - fp_at + 1);
-    const auto foot_at = text.rfind("footer,");
-    text.erase(foot_at);
-    text.replace(text.find("v2"), 2, "v1");
-    const std::string v1 = path("legacy_v1.csv");
-    {
-        std::ofstream os(v1, std::ios::binary);
-        os << text;
-    }
-    const Campaign r = Campaign::load(v1);
-    EXPECT_EQ(r.formatVersion, 1);
-    EXPECT_EQ(r.fingerprint, 0u);
-    ASSERT_EQ(r.workloads.size(), c.workloads.size());
-    for (std::size_t p = 0; p < c.policies.size(); ++p)
-        for (std::size_t w = 0; w < c.workloads.size(); ++w)
-            EXPECT_EQ(r.ipc[p][w], c.ipc[p][w]);
-}
-
-TEST_F(Resilience, MalformedNumericFieldsAreFatalNotStdExceptions)
-{
-    // v1 has no checksum, so malformed fields reach the numeric
-    // parsers directly; each must surface as FatalError (with file
-    // and line context), never as a raw std::invalid_argument or
-    // std::out_of_range escaping std::stoull/std::stod.
-    const std::string base = "wsel-campaign,v1\n"
-                             "simulator,badco\n"
-                             "cores,2\n"
-                             "target,4000\n"
-                             "simseconds,0.5\n"
-                             "instructions,48000\n"
-                             "policies,LRU;DIP\n"
-                             "benchmarks,a;b\n"
-                             "refipc,1.0;2.0\n"
-                             "nworkloads,1\n"
-                             "w,0;1\n"
-                             "i,0,0,1.0;1.0\n"
-                             "i,1,0,1.0;1.0\n";
-    const struct
-    {
-        std::string from, to;
-    } cases[] = {
-        {"cores,2", "cores,two"},
-        {"cores,2", "cores,-2"},
-        {"target,4000", "target,40x0"},
-        {"target,4000", "target,99999999999999999999999"},
-        {"simseconds,0.5", "simseconds,fast"},
-        {"instructions,48000", "instructions,"},
-        {"refipc,1.0;2.0", "refipc,1.0;two"},
-        {"nworkloads,1", "nworkloads,one"},
-        {"w,0;1", "w,0;x"},
-        {"i,0,0,1.0;1.0", "i,zero,0,1.0;1.0"},
-        {"i,0,0,1.0;1.0", "i,0,0,1.0;oops"},
-        {"policies,LRU;DIP", "policies,LRU;BOGUS"},
-    };
-    int idx = 0;
-    for (const auto &tc : cases) {
-        std::string text = base;
-        const auto at = text.find(tc.from);
-        ASSERT_NE(at, std::string::npos) << tc.from;
-        text.replace(at, tc.from.size(), tc.to);
-        const std::string file =
-            path("malformed_" + std::to_string(idx++) + ".csv");
-        {
-            std::ofstream os(file, std::ios::binary);
-            os << text;
-        }
-        try {
-            Campaign::load(file);
-            FAIL() << "loaded malformed file: " << tc.to;
-        } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find(file),
-                      std::string::npos)
-                << "error lacks file context: " << e.what();
-        }
-    }
-}
 
 TEST_F(Resilience, TruncationAtEveryByteIsDetected)
 {
     const Campaign c = runTiny();
-    const std::string file = path("full.csv");
-    c.save(file);
-    const std::string text = test::readFile(file);
-    const std::string cut_file = path("cut.csv");
-    for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    const std::string art = path("full");
+    c.save(art);
+    const std::string shard = persist::v3ShardPath(art, 1);
+    const std::string bytes = test::readFile(shard);
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         {
-            std::ofstream os(cut_file, std::ios::binary);
-            os.write(text.data(),
-                     static_cast<std::streamsize>(cut));
+            std::ofstream os(shard, std::ios::binary | std::ios::trunc);
+            os.write(bytes.data(), static_cast<std::streamsize>(cut));
         }
-        EXPECT_THROW(Campaign::load(cut_file), FatalError)
+        EXPECT_THROW(Campaign::load(art), FatalError)
             << "truncation at byte " << cut << " went undetected";
     }
-    // Sanity: the untruncated file still loads.
+    // Sanity: the untruncated shard still loads.
     {
-        std::ofstream os(cut_file, std::ios::binary);
-        os << text;
+        std::ofstream os(shard, std::ios::binary | std::ios::trunc);
+        os << bytes;
     }
-    EXPECT_NO_THROW(Campaign::load(cut_file));
+    expectSameResults(Campaign::load(art), c);
 }
 
 TEST_F(Resilience, BitFlipFailsChecksum)
 {
     const Campaign c = runTiny();
-    const std::string file = path("flip.csv");
-    c.save(file);
-    // Flip a low bit of a digit inside an IPC row: the value stays
-    // parseable, so only the checksum can catch it.
-    const std::string text = test::readFile(file);
-    const auto row = text.find("\ni,0,0,");
-    ASSERT_NE(row, std::string::npos);
-    test::flipBit(file, row + 8, 0); // a digit of the first value
-    EXPECT_THROW(Campaign::load(file), FatalError);
+    const std::string art = path("flip");
+    c.save(art);
+    // Flip a low mantissa bit of an IPC value: the number stays
+    // plausible, so only the checksum can catch it.
+    const std::string shard = persist::v3ShardPath(art, 0);
+    test::flipBit(shard, test::fileSize(shard) - 16, 0);
+    try {
+        Campaign::load(art);
+        FAIL() << "loaded a damaged shard";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(art), std::string::npos)
+            << "error lacks path context: " << e.what();
+    }
 }
 
 // ---------------------------------------------------------------
@@ -297,19 +193,18 @@ TEST_F(Resilience, CorruptCacheIsQuarantinedAndRegenerated)
     };
     const Campaign a = cachedCampaign("resil", 0, produce);
     EXPECT_EQ(produced, 1);
-    const std::string file = path("campaign_v2_resil.csv");
-    ASSERT_TRUE(fs::exists(file));
+    const std::string art = path("campaign_v3_resil");
+    ASSERT_TRUE(persist::isV3CampaignDir(art));
 
-    const auto row = test::readFile(file).find("\ni,0,0,");
-    ASSERT_NE(row, std::string::npos);
-    test::flipBit(file, row + 8, 0);
+    const std::string shard = persist::v3ShardPath(art, 0);
+    test::flipBit(shard, test::fileSize(shard) - 16, 0);
 
     const Campaign b = cachedCampaign("resil", 0, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
     expectSameResults(a, b);
-    // The regenerated file is valid again.
-    EXPECT_NO_THROW(Campaign::load(file));
+    // The regenerated campaign is valid again.
+    EXPECT_NO_THROW(Campaign::load(art));
 }
 
 TEST_F(Resilience, TruncatedCacheIsQuarantinedAndRegenerated)
@@ -320,8 +215,9 @@ TEST_F(Resilience, TruncatedCacheIsQuarantinedAndRegenerated)
         return runTiny();
     };
     cachedCampaign("trunc", 0, produce);
-    const std::string file = path("campaign_v2_trunc.csv");
-    test::truncateFile(file, test::fileSize(file) / 2);
+    const std::string manifest =
+        persist::v3ManifestPath(path("campaign_v3_trunc"));
+    test::truncateFile(manifest, test::fileSize(manifest) / 2);
     cachedCampaign("trunc", 0, produce);
     EXPECT_EQ(produced, 2);
     EXPECT_EQ(countContaining(".corrupt"), 1u);
@@ -337,7 +233,7 @@ TEST_F(Resilience, FingerprintMismatchIsQuarantinedAndRegenerated)
     const Campaign a = cachedCampaign("fpr", 0, produce);
     EXPECT_EQ(produced, 1);
     // Same key, different expected fingerprint: the config changed
-    // in a way the filename key missed -> re-simulate.
+    // in a way the cache key missed -> re-simulate.
     const Campaign b =
         cachedCampaign("fpr", a.fingerprint + 1, produce);
     EXPECT_EQ(produced, 2);
@@ -357,16 +253,19 @@ TEST_F(Resilience, VersionSkewedCacheIsQuarantinedAndRegenerated)
         return runTiny();
     };
     const Campaign a = cachedCampaign("skew", 0, produce);
-    const std::string file = path("campaign_v2_skew.csv");
-    // Replace the cache with a valid *v1* file (old format).
-    std::string text = test::readFile(file);
-    const auto fp_at = text.find("fingerprint,");
-    text.erase(fp_at, text.find('\n', fp_at) - fp_at + 1);
-    text.erase(text.rfind("footer,"));
-    text.replace(text.find("v2"), 2, "v1");
+    // Re-stamp the manifest with a format version this build does
+    // not know, and re-seal its checksum so only the version skews.
+    const std::string manifest =
+        persist::v3ManifestPath(path("campaign_v3_skew"));
+    std::string bytes = test::readFile(manifest);
+    bytes.resize(bytes.size() - 8);
+    bytes[8] = 99; // the u32 version follows the 8-byte magic
+    const std::uint64_t sum = persist::fnv1a(bytes);
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
     {
-        std::ofstream os(file, std::ios::binary);
-        os << text;
+        std::ofstream os(manifest, std::ios::binary | std::ios::trunc);
+        os << bytes;
     }
     const Campaign b = cachedCampaign("skew", 0, produce);
     EXPECT_EQ(produced, 2);
@@ -386,33 +285,26 @@ TEST_F(Resilience, ResumeAfterKillAtEveryPointMatchesUninterrupted)
         base.policies.size() * base.workloads.size();
     ASSERT_EQ(total, 6u);
 
-    for (const char *point :
-         {"journal.append", "journal.before-append"}) {
-        for (std::size_t n = 1; n <= total; ++n) {
-            const std::string journal =
-                path(std::string("j_") + (point[8] == 'a' ? "a" : "b") +
-                     std::to_string(n) + ".partial");
-            {
-                test::FaultInjector kill(point, n);
-                EXPECT_THROW(runTiny(journal, models),
-                             test::InjectedFault)
-                    << point << " #" << n;
-            }
-            ASSERT_TRUE(fs::exists(journal));
-            // The resumed run must reproduce the uninterrupted
-            // campaign bit for bit, and must only simulate the
-            // cells the killed run had not completed.
-            test::FaultInjector counting;
-            const Campaign resumed = runTiny(journal, models);
-            expectSameResults(base, resumed);
-            const std::size_t completed_before_kill =
-                std::string(point) == "journal.append"
-                    ? n          // killed after the nth record
-                    : n - 1;     // killed before writing the nth
-            EXPECT_EQ(counting.hits("journal.append"),
-                      total - completed_before_kill)
-                << point << " #" << n;
+    for (std::size_t n = 1; n <= total; ++n) {
+        const std::string art = path("kill" + std::to_string(n));
+        {
+            test::FaultInjector kill("population.cell", n);
+            EXPECT_THROW(runTiny(art, models), test::InjectedFault)
+                << "kill #" << n;
         }
+        // No manifest: the killed run never committed.
+        EXPECT_FALSE(persist::isV3CampaignDir(art));
+        // The resumed run must reproduce the uninterrupted campaign
+        // bit for bit, and must only simulate the shards the killed
+        // run had not written: one row of two cells per shard, so
+        // the (n-1)/2 shards before the kill are reused.
+        test::FaultInjector counting;
+        const Campaign resumed = runTiny(art, models);
+        expectSameResults(base, resumed);
+        EXPECT_EQ(counting.hits("population.cell"),
+                  total - 2 * ((n - 1) / 2))
+            << "kill #" << n;
+        EXPECT_TRUE(persist::isV3CampaignDir(art));
     }
 }
 
@@ -424,55 +316,62 @@ TEST_F(Resilience, DetailedCampaignResumesToo)
     const Campaign base =
         runDetailedCampaign(pop.enumerateAll(), {PolicyKind::LRU},
                             2, kUops, CoreConfig{}, suite, opts);
-    const std::string journal = path("det.partial");
-    opts.journalPath = journal;
-    {
-        test::FaultInjector kill("journal.append", 1);
-        EXPECT_THROW(runDetailedCampaign(pop.enumerateAll(),
-                                         {PolicyKind::LRU}, 2,
-                                         kUops, CoreConfig{}, suite,
-                                         opts),
-                     test::InjectedFault);
+    for (std::size_t n : {1, 2, 3}) {
+        opts.artifactDir = path("det" + std::to_string(n));
+        {
+            test::FaultInjector kill("fidelity.escalate", n);
+            EXPECT_THROW(runDetailedCampaign(pop.enumerateAll(),
+                                             {PolicyKind::LRU}, 2,
+                                             kUops, CoreConfig{},
+                                             suite, opts),
+                         test::InjectedFault);
+        }
+        test::FaultInjector counting;
+        const Campaign resumed = runDetailedCampaign(
+            pop.enumerateAll(), {PolicyKind::LRU}, 2, kUops,
+            CoreConfig{}, suite, opts);
+        expectSameResults(base, resumed);
+        // One single-cell shard per workload; n - 1 were written.
+        EXPECT_EQ(counting.hits("fidelity.escalate"), 3 - (n - 1));
     }
-    const Campaign resumed = runDetailedCampaign(
-        pop.enumerateAll(), {PolicyKind::LRU}, 2, kUops,
-        CoreConfig{}, suite, opts);
-    expectSameResults(base, resumed);
 }
 
-TEST_F(Resilience, MismatchedJournalIsQuarantinedAndIgnored)
+TEST_F(Resilience, ForeignShardsAreQuarantinedAndIgnored)
 {
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
-    const std::string journal = path("stale.partial");
-    {
-        std::ofstream os(journal, std::ios::binary);
-        os << "wsel-journal,v2,00000000deadbeef,9,9\n"
-           << "r,0,0,1.0;1.0,0.1,1000,0123456789abcdef\n";
-    }
-    const Campaign c = runTiny(journal, models);
+    // Leave the shards of another sample (same configuration, the
+    // ranks in another order) behind, uncommitted, in the directory.
+    const std::string art = path("foreign");
+    runTiny(art, models,
+            WorkloadSet::fromRanks(WorkloadPopulation(2, 2),
+                                   {2, 1, 0}));
+    fs::remove(persist::v3ManifestPath(art));
+    test::FaultInjector counting;
+    const Campaign c = runTiny(art, models);
     expectSameResults(base, c);
-    EXPECT_EQ(countContaining("stale.partial.corrupt"), 1u);
+    EXPECT_EQ(counting.hits("population.cell"), 6u);
+    EXPECT_EQ(countContaining(".corrupt", art), 3u);
 }
 
-TEST_F(Resilience, DamagedJournalTailIsDroppedOnResume)
+TEST_F(Resilience, DamagedShardIsResimulatedOnResume)
 {
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
-    const std::string journal = path("tail.partial");
+    const std::string art = path("tail");
     {
-        test::FaultInjector kill("journal.append", 3);
-        EXPECT_THROW(runTiny(journal, models), test::InjectedFault);
+        test::FaultInjector kill("population.cell", 5);
+        EXPECT_THROW(runTiny(art, models), test::InjectedFault);
     }
-    // Simulate a record half-written at the kill: valid prefix,
-    // garbage tail (no trailing checksum, no newline).
-    {
-        std::ofstream os(journal,
-                         std::ios::binary | std::ios::app);
-        os << "r,1,2,0.73";
-    }
-    const Campaign resumed = runTiny(journal, models);
+    // Shards 0 and 1 are on disk; damage shard 1 as a torn write
+    // would.
+    const std::string shard = persist::v3ShardPath(art, 1);
+    test::truncateFile(shard, test::fileSize(shard) / 2);
+    test::FaultInjector counting;
+    const Campaign resumed = runTiny(art, models);
     expectSameResults(base, resumed);
+    EXPECT_EQ(counting.hits("population.cell"), 4u); // shards 1, 2
+    EXPECT_EQ(countContaining(".corrupt", art), 1u);
 }
 
 TEST_F(Resilience, CachedCampaignResumesAcrossCalls)
@@ -480,26 +379,24 @@ TEST_F(Resilience, CachedCampaignResumesAcrossCalls)
     const std::string models = path("models");
     const Campaign base = runTiny("", models);
     int produced = 0;
-    auto produce = [&](const std::string &journal) {
+    auto produce = [&](const std::string &artifact) {
         ++produced;
-        return runTiny(journal, models);
+        return runTiny(artifact, models);
     };
     {
-        test::FaultInjector kill("journal.append", 2);
+        test::FaultInjector kill("population.cell", 3);
         EXPECT_THROW(cachedCampaign("resume", 0, produce),
                      test::InjectedFault);
     }
-    EXPECT_TRUE(
-        fs::exists(path("campaign_v2_resume.csv.partial")));
+    const std::string art = path("campaign_v3_resume");
+    EXPECT_TRUE(fs::exists(persist::v3ShardPath(art, 0)));
+    EXPECT_FALSE(persist::isV3CampaignDir(art));
     test::FaultInjector counting;
     const Campaign c = cachedCampaign("resume", 0, produce);
     EXPECT_EQ(produced, 2);
     expectSameResults(base, c);
-    EXPECT_EQ(counting.hits("journal.append"), 4u); // 6 cells - 2
-    // Final artifact present, journal cleaned up.
-    EXPECT_TRUE(fs::exists(path("campaign_v2_resume.csv")));
-    EXPECT_FALSE(
-        fs::exists(path("campaign_v2_resume.csv.partial")));
+    EXPECT_EQ(counting.hits("population.cell"), 4u); // 6 cells - 2
+    EXPECT_TRUE(persist::isV3CampaignDir(art));
     // A third call serves the cache without any simulation.
     const Campaign d = cachedCampaign("resume", 0, produce);
     EXPECT_EQ(produced, 2);

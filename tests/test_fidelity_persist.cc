@@ -22,6 +22,7 @@
 #include "fidelity/error_profile.hh"
 #include "fidelity/persist_fidelity.hh"
 #include "stats/persist.hh"
+#include "test_util.hh"
 
 namespace wsel
 {
@@ -37,11 +38,7 @@ class FidelityPersist : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_fidelity_fuzz_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_fidelity_fuzz").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

@@ -56,11 +56,7 @@ class HybridCampaign : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_hybrid_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_hybrid").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         unsetenv("WSEL_JOBS");

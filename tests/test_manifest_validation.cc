@@ -4,9 +4,10 @@
  * manifest is untrusted disk input (truncation, bit rot, a crafted
  * write), so readV3Manifest must answer every damaged byte stream
  * with CacheInvalid — never a crash, a giant allocation, or an
- * overflowed size computation.  Fuzz-ish coverage: every prefix
- * truncation, every single-byte bit flip, plus crafted manifests
- * whose individual fields lie about their bounds.
+ * overflowed size computation.  Fuzz-ish coverage, over a range-mode
+ * and a list-mode manifest alike: every prefix truncation, every
+ * single-byte bit flip, plus crafted manifests whose individual
+ * fields lie about their bounds.
  */
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "stats/logging.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
+#include "test_util.hh"
 
 namespace wsel
 {
@@ -51,17 +53,39 @@ validManifest()
     return m;
 }
 
+/** A list-mode manifest: explicit ranks, one of them repeated (as
+ * sampling with replacement produces). */
+persist::V3Manifest
+validListManifest()
+{
+    persist::V3Manifest m = validManifest();
+    m.ranks = {5, 2, 2, 0};
+    m.lastRank = m.ranks.size();
+    return m;
+}
+
+/** Both manifest modes, as sweep inputs. */
+std::vector<persist::V3Manifest>
+validManifests()
+{
+    return {validManifest(), validListManifest()};
+}
+
+/** Bytes from the body end to the end of shardRows: the rank list
+ * and its count, in list mode. */
+std::size_t
+rankListBytes(const persist::V3Manifest &m)
+{
+    return m.listMode() ? 8 * (m.ranks.size() + 1) : 0;
+}
+
 class ManifestValidation : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_manifest_fuzz_") + info->name()))
-                   .string();
+        dir_ = test::scratchPath("wsel_manifest_fuzz").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -89,9 +113,10 @@ class ManifestValidation : public ::testing::Test
 
     /**
      * Overwrite the u64 field @p offset_from_body_end bytes before
-     * the end of the manifest BODY (shardRows is 8, lastRank 16,
-     * firstRank 24) and re-seal the trailing checksum — a crafted
-     * manifest the trusted writer itself would refuse to produce.
+     * the end of the manifest BODY (in range mode shardRows is 8,
+     * lastRank 16, firstRank 24; list mode adds rankListBytes) and
+     * re-seal the trailing checksum — a crafted manifest the trusted
+     * writer itself would refuse to produce.
      */
     std::string
     patchTailU64(std::string bytes,
@@ -115,44 +140,51 @@ class ManifestValidation : public ::testing::Test
 
 TEST_F(ManifestValidation, IntactManifestRoundTrips)
 {
-    const persist::V3Manifest m = validManifest();
-    manifestBytes(m);
-    const persist::V3Manifest back = persist::readV3Manifest(dir_);
-    EXPECT_EQ(back.fingerprint, m.fingerprint);
-    EXPECT_EQ(back.policies, m.policies);
-    EXPECT_EQ(back.benchmarks, m.benchmarks);
-    EXPECT_EQ(back.lastRank, m.lastRank);
-    EXPECT_EQ(back.shardRows, m.shardRows);
+    for (const persist::V3Manifest &m : validManifests()) {
+        manifestBytes(m);
+        const persist::V3Manifest back =
+            persist::readV3Manifest(dir_);
+        EXPECT_EQ(back.fingerprint, m.fingerprint);
+        EXPECT_EQ(back.policies, m.policies);
+        EXPECT_EQ(back.benchmarks, m.benchmarks);
+        EXPECT_EQ(back.lastRank, m.lastRank);
+        EXPECT_EQ(back.shardRows, m.shardRows);
+        EXPECT_EQ(back.ranks, m.ranks);
+    }
 }
 
 TEST_F(ManifestValidation, EveryTruncationRejected)
 {
-    const std::string full = manifestBytes(validManifest());
-    ASSERT_GT(full.size(), 16u);
-    for (std::size_t len = 0; len < full.size(); ++len) {
-        putManifestBytes(full.substr(0, len));
-        EXPECT_THROW(persist::readV3Manifest(dir_),
-                     persist::CacheInvalid)
-            << "accepted a manifest truncated to " << len
-            << " of " << full.size() << " bytes";
+    for (const persist::V3Manifest &m : validManifests()) {
+        const std::string full = manifestBytes(m);
+        ASSERT_GT(full.size(), 16u);
+        for (std::size_t len = 0; len < full.size(); ++len) {
+            putManifestBytes(full.substr(0, len));
+            EXPECT_THROW(persist::readV3Manifest(dir_),
+                         persist::CacheInvalid)
+                << "accepted a manifest truncated to " << len
+                << " of " << full.size() << " bytes";
+        }
     }
 }
 
 TEST_F(ManifestValidation, EverySingleBitFlipRejected)
 {
-    const std::string full = manifestBytes(validManifest());
     // The trailing FNV-1a covers every preceding byte and is itself
     // covered by the comparison, so ANY one-bit flip must surface
     // as CacheInvalid.
-    for (std::size_t byte = 0; byte < full.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string damaged = full;
-            damaged[byte] =
-                static_cast<char>(damaged[byte] ^ (1 << bit));
-            putManifestBytes(damaged);
-            EXPECT_THROW(persist::readV3Manifest(dir_),
-                         persist::CacheInvalid)
-                << "byte " << byte << " bit " << bit;
+    for (const persist::V3Manifest &m : validManifests()) {
+        const std::string full = manifestBytes(m);
+        for (std::size_t byte = 0; byte < full.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string damaged = full;
+                damaged[byte] =
+                    static_cast<char>(damaged[byte] ^ (1 << bit));
+                putManifestBytes(damaged);
+                EXPECT_THROW(persist::readV3Manifest(dir_),
+                             persist::CacheInvalid)
+                    << "byte " << byte << " bit " << bit;
+            }
         }
     }
 }
@@ -189,18 +221,71 @@ TEST_F(ManifestValidation, InvertedRankRangeRejected)
 {
     // The trusted writer refuses an inverted range, so forge one
     // behind its back: patch firstRank past lastRank and re-seal.
-    const std::string full = manifestBytes(validManifest());
-    putManifestBytes(patchTailU64(full, 24, 10)); // firstRank = 10
-    EXPECT_THROW(persist::readV3Manifest(dir_),
-                 persist::CacheInvalid);
+    for (const persist::V3Manifest &m : validManifests()) {
+        const std::string full = manifestBytes(m);
+        putManifestBytes(patchTailU64(full, rankListBytes(m) + 24,
+                                      10)); // firstRank = 10
+        EXPECT_THROW(persist::readV3Manifest(dir_),
+                     persist::CacheInvalid);
+    }
 }
 
 TEST_F(ManifestValidation, ZeroShardRowsRejected)
 {
-    const std::string full = manifestBytes(validManifest());
-    putManifestBytes(patchTailU64(full, 8, 0)); // shardRows = 0
+    for (const persist::V3Manifest &m : validManifests()) {
+        const std::string full = manifestBytes(m);
+        putManifestBytes(patchTailU64(full, rankListBytes(m) + 8,
+                                      0)); // shardRows = 0
+        EXPECT_THROW(persist::readV3Manifest(dir_),
+                     persist::CacheInvalid);
+    }
+}
+
+TEST_F(ManifestValidation, RankOutsidePopulationRejected)
+{
+    // A 3-benchmark 2-core population has ranks [0, 6).
+    persist::V3Manifest m = validListManifest();
+    m.ranks[1] = 6;
+    manifestBytes(m);
     EXPECT_THROW(persist::readV3Manifest(dir_),
                  persist::CacheInvalid);
+    m.ranks[1] = ~0ULL;
+    manifestBytes(m);
+    EXPECT_THROW(persist::readV3Manifest(dir_),
+                 persist::CacheInvalid);
+}
+
+TEST_F(ManifestValidation, RankCountMismatchRejected)
+{
+    const persist::V3Manifest m = validListManifest();
+    const std::string full = manifestBytes(m);
+    const std::size_t count_at = 8 * (m.ranks.size() + 1);
+    for (std::uint64_t n : {m.ranks.size() - 1, m.ranks.size() + 1}) {
+        putManifestBytes(patchTailU64(full, count_at, n));
+        EXPECT_THROW(persist::readV3Manifest(dir_),
+                     persist::CacheInvalid)
+            << "count " << n;
+    }
+    // lastRank disagreeing with an intact list is the same lie.
+    putManifestBytes(patchTailU64(full, count_at + 16, 3));
+    EXPECT_THROW(persist::readV3Manifest(dir_),
+                 persist::CacheInvalid);
+}
+
+TEST_F(ManifestValidation, OverflowingRankCountRejected)
+{
+    // count x 8 bytes wraps to a small number for 2^61 and above;
+    // the reader must bound the count by the bytes left, not
+    // multiply it.
+    const persist::V3Manifest m = validListManifest();
+    const std::string full = manifestBytes(m);
+    for (std::uint64_t n : {1ULL << 61, (1ULL << 61) + 4, ~0ULL}) {
+        putManifestBytes(
+            patchTailU64(full, 8 * (m.ranks.size() + 1), n));
+        EXPECT_THROW(persist::readV3Manifest(dir_),
+                     persist::CacheInvalid)
+            << "count " << n;
+    }
 }
 
 TEST_F(ManifestValidation, AbsurdRowCountRejected)

@@ -200,8 +200,7 @@ TEST(ModelStore, BuildsOncePerBenchmark)
 
 TEST(ModelStore, DiskCacheRoundTrip)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "wsel_test_store";
+    const auto dir = test::scratchPath("wsel_test_store");
     std::filesystem::remove_all(dir);
     const auto suite = testSuite();
     {

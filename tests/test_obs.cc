@@ -200,7 +200,7 @@ TEST(ObsSnapshot, CatalogPreRegisteredOnEnable)
     EXPECT_TRUE(has("scheduler.tasks_run"));
     EXPECT_TRUE(has("scheduler.queue_ns"));
     EXPECT_TRUE(has("campaign.cells"));
-    EXPECT_TRUE(has("campaign.journal_flush_ns"));
+    EXPECT_TRUE(has("campaign.cells_per_sec"));
     EXPECT_TRUE(has("persist.cache_hit"));
     EXPECT_TRUE(has("persist.cache_miss"));
     EXPECT_TRUE(has("persist.cache_quarantine"));

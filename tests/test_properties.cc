@@ -123,8 +123,7 @@ TEST(Properties, PolicyOnlyChangesUncoreNotTheTrace)
 
 TEST(Properties, ModelStoreCacheRoundTripIsExact)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "wsel_prop_store";
+    const auto dir = test::scratchPath("wsel_prop_store");
     std::filesystem::remove_all(dir);
     const BenchmarkProfile p = test::heavyProfile(13);
     BadcoModel direct = buildBadcoModel(p, CoreConfig{}, 6000, 5);

@@ -12,6 +12,7 @@
 #include "core/report/report.hh"
 #include "stats/logging.hh"
 #include "stats/rng.hh"
+#include "test_util.hh"
 
 namespace wsel
 {
@@ -70,8 +71,7 @@ TEST(Report, PairDirectionIsSecondOverFirst)
 
 TEST(Report, FileWrapperWrites)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-                      "wsel_report_test.md";
+    const auto path = test::scratchPath("wsel_report_test.md");
     writeMarkdownReport(sampleInput(), path.string());
     std::ifstream is(path);
     ASSERT_TRUE(is.good());

@@ -39,6 +39,7 @@
 #include "sim/population.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
+#include "test_util.hh"
 
 namespace wsel
 {
@@ -499,11 +500,7 @@ class ServeStoreTest : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        root_ = (fs::temp_directory_path() /
-                 (std::string("wsel_serve_store_") + info->name()))
-                    .string();
+        root_ = test::scratchPath("wsel_serve_store").string();
         fs::remove_all(root_);
     }
 
@@ -621,11 +618,38 @@ TEST_F(ServeStoreTest, TwoProcessDirectoryCreationRace)
         pids.push_back(serve::spawnProcess(
             {worker, "--mkdir-race", deep}));
     for (const pid_t pid : pids) {
-        const int status = serve::waitProcess(pid);
-        EXPECT_TRUE(serve::exitedCleanly(status))
-            << serve::describeExit(status);
+        const serve::Reaped r =
+            serve::reapProcess(pid, std::chrono::seconds(60));
+        EXPECT_FALSE(r.killed);
+        EXPECT_TRUE(serve::exitedCleanly(r.status))
+            << serve::describeExit(r.status);
     }
     EXPECT_TRUE(fs::is_directory(deep));
+}
+
+TEST(ServeSpawnTest, ReapKillsAChildPastItsDeadline)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const pid_t pid = serve::spawnProcess({"/usr/bin/sleep", "30"});
+    const serve::Reaped r =
+        serve::reapProcess(pid, std::chrono::milliseconds(200));
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_TRUE(r.killed);
+    EXPECT_TRUE(WIFSIGNALED(r.status) && WTERMSIG(r.status) == SIGKILL)
+        << serve::describeExit(r.status);
+    EXPECT_LT(secs, 5.0);
+}
+
+TEST(ServeSpawnTest, ReapReturnsAnExitedChildUnkilled)
+{
+    const pid_t pid = serve::spawnProcess({"/usr/bin/sleep", "0"});
+    const serve::Reaped r =
+        serve::reapProcess(pid, std::chrono::seconds(30));
+    EXPECT_FALSE(r.killed);
+    EXPECT_TRUE(serve::exitedCleanly(r.status))
+        << serve::describeExit(r.status);
 }
 
 // -------------------------------------------------------------------
@@ -674,13 +698,10 @@ class ServeDistributedTest : public ::testing::Test
     SetUpTestSuite()
     {
         obs::enableMetrics();
-        // Per process: ctest runs every test in its own process,
-        // and a sibling's TearDownTestSuite must not delete the
-        // cache under a running admission.
-        cacheDir_ = (fs::temp_directory_path() /
-                     ("wsel_serve_test_model_cache." +
-                      std::to_string(::getpid())))
-                        .string();
+        // Per process: a sibling's TearDownTestSuite must not
+        // delete the cache under a running admission.
+        cacheDir_ =
+            test::scratchPath("wsel_serve_test_model_cache").string();
         fs::create_directories(cacheDir_);
     }
 
@@ -694,12 +715,7 @@ class ServeDistributedTest : public ::testing::Test
     void
     SetUp() override
     {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = (fs::temp_directory_path() /
-                (std::string("wsel_serve_e2e_") + info->name() +
-                 "." + std::to_string(::getpid())))
-                   .string();
+        dir_ = test::scratchPath("wsel_serve_e2e").string();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         socket_ = dir_ + "/serve.sock";
@@ -750,24 +766,17 @@ class ServeDistributedTest : public ::testing::Test
     /**
      * Reap @p pid into @p status within a deadline, so a wedged
      * worker fails the test in seconds instead of hanging it until
-     * the ctest timeout; on expiry SIGKILL it and FAIL().
+     * the ctest timeout.
      */
     static void
     reap(pid_t pid, int &status)
     {
-        constexpr auto kDeadline = std::chrono::seconds(60);
-        const auto until = std::chrono::steady_clock::now() + kDeadline;
-        while (std::chrono::steady_clock::now() < until) {
-            if (const std::optional<int> st = serve::pollProcess(pid)) {
-                status = *st;
-                return;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ::kill(pid, SIGKILL);
-        serve::waitProcess(pid);
-        FAIL() << "worker " << pid << " still running after "
-               << kDeadline.count() << " s; killed it";
+        const serve::Reaped r =
+            serve::reapProcess(pid, std::chrono::seconds(60));
+        status = r.status;
+        if (r.killed)
+            FAIL() << "worker " << pid
+                   << " still running after 60 s; killed it";
     }
 
     static void

@@ -8,6 +8,10 @@
 #define WSEL_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "cpu/detailed_core.hh"
 #include "mem/uncore.hh"
@@ -16,6 +20,18 @@
 
 namespace wsel::test
 {
+
+/**
+ * temp_directory_path()/<name>.<pid>: a scratch path no other test
+ * process shares (ctest runs every test in its own process, many at
+ * once under -j).
+ */
+inline std::filesystem::path
+scratchPath(const std::string &name)
+{
+    return std::filesystem::temp_directory_path() /
+           (name + "." + std::to_string(::getpid()));
+}
 
 /** A light, fast profile for unit tests (mostly L1-resident). */
 inline BenchmarkProfile

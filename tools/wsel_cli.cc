@@ -6,14 +6,15 @@
  *   wsel_cli characterize [--cores K] [--insns N] [--jobs N]
  *       [--metrics-out FILE] [--trace-out FILE] [--trace-mem MIB]
  *       per-benchmark features and automatic vs Table-IV classes
- *   wsel_cli campaign --out FILE [--cores K] [--insns N]
+ *   wsel_cli campaign --out DIR [--cores K] [--insns N]
  *       [--policies LRU,DIP,...] [--limit N] [--resume 0|1]
  *       [--jobs N] [--metrics-out FILE] [--trace-out FILE]
  *       [--trace-mem MIB]
- *       run a BADCO population campaign and save it as CSV;
- *       progress checkpoints to FILE.partial and, by default, an
- *       interrupted run resumes from it (--resume 0 restarts);
- *       --jobs N simulates cells on N worker threads (default 0 =
+ *       run a BADCO campaign over the population (or a --limit N
+ *       sample of it) into the campaign_v3 directory DIR; shards
+ *       land as they complete and, by default, a rerun with the
+ *       same DIR resumes from them (--resume 0 clears DIR first);
+ *       --jobs N simulates shards on N worker threads (default 0 =
  *       $WSEL_JOBS, else all hardware threads; the result is
  *       bitwise identical to --jobs 1, see docs/PARALLELISM.md);
  *       --metrics-out writes the metrics snapshot as JSON and
@@ -84,27 +85,28 @@
  *       as JSON, and serve stop --socket PATH --id N halts a
  *       queued or running campaign (in-flight shards finish and
  *       stay in the store for dedup)
- *   wsel_cli analyze --campaign FILE --x POL --y POL
+ *   wsel_cli analyze --campaign DIR --x POL --y POL
  *       [--metric IPCT|WSU|HSU|GSU]
  *       cv, 1/cv, eq.(8) sample size, §VII regime, CI estimates
- *   wsel_cli select --campaign FILE --x POL --y POL --size W
+ *   wsel_cli select --campaign DIR --x POL --y POL --size W
  *       [--metric M] [--method random|balanced|bench|workload]
  *       emit a workload sample for a detailed simulator
- *   wsel_cli confidence --campaign FILE --x POL --y POL --size W
+ *   wsel_cli confidence --campaign DIR --x POL --y POL --size W
  *       [--metric M] [--draws D]
  *       model vs empirical confidence at the given sample size
  *   wsel_cli simulate --workload b1+b2+... [--policy LRU]
  *       [--insns N] [--detailed 1]
  *       run one multiprogram workload through the simulators
- *   wsel_cli report --campaign FILE --out FILE.md
+ *   wsel_cli report --campaign DIR --out FILE.md
  *       full pairwise markdown analysis of a saved campaign
  *   wsel_cli cache verify [--dir DIR] [--quarantine 0|1]
- *       validate every campaign and BADCO-model cache file in the
- *       cache directory; with --quarantine 1, rename damaged files
- *       to *.corrupt
+ *       validate every campaign_v3_* directory and BADCO-model
+ *       file in the cache directory; with --quarantine 1, rename
+ *       damaged ones to *.corrupt
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -133,6 +135,7 @@
 #include "sim/hybrid.hh"
 #include "stats/logging.hh"
 #include "stats/persist.hh"
+#include "stats/persist_v3.hh"
 #include "sim/characterize.hh"
 #include "sim/model_store.hh"
 #include "sim/multicore.hh"
@@ -280,7 +283,7 @@ cmdCampaign(const Args &args)
 {
     setupObs(args);
     if (!args.has("out"))
-        WSEL_FATAL("campaign requires --out FILE");
+        WSEL_FATAL("campaign requires --out DIR");
     const std::uint32_t cores =
         static_cast<std::uint32_t>(args.getU64("cores", 4));
     const std::uint64_t insns = args.getU64("insns", 100000);
@@ -316,22 +319,14 @@ cmdCampaign(const Args &args)
     opts.verbose = true;
     // 0 = auto: $WSEL_JOBS when set, else all hardware threads.
     opts.jobs = static_cast<std::size_t>(args.getU64("jobs", 0));
-    // Checkpoint each completed (policy, workload) cell so a killed
-    // campaign can pick up where it left off (--resume 0 restarts).
+    // The campaign_v3 directory fills shard by shard, so a killed
+    // campaign picks up where it left off (--resume 0 restarts).
     const std::string out = args.get("out", "");
-    const std::string journal = out + ".partial";
-    if (args.getU64("resume", 1) == 0) {
-        std::error_code ec;
-        std::filesystem::remove(journal, ec);
-    }
-    opts.journalPath = journal;
+    if (args.getU64("resume", 1) == 0)
+        persist::clearV3Dir(out);
+    opts.artifactDir = out;
     const Campaign c = runBadcoCampaign(workloads, policies, cores,
                                         insns, store, suite, opts);
-    c.save(out);
-    {
-        std::error_code ec;
-        std::filesystem::remove(journal, ec);
-    }
     std::printf("saved %zu workloads x %zu policies to %s "
                 "(%.1f MIPS)\n",
                 c.workloads.size(), c.policies.size(), out.c_str(),
@@ -404,6 +399,20 @@ printServeStatus(std::uint64_t id, const serve::StatusMsg &st)
 }
 
 /**
+ * Reap the spawned workers, SIGKILLing any that has not exited 30 s
+ * after the coordinator released it, so a wedged worker cannot hang
+ * the CLI.
+ */
+void
+reapWorkers(const std::vector<pid_t> &workers)
+{
+    for (pid_t pid : workers)
+        if (serve::reapProcess(pid, std::chrono::seconds(30)).killed)
+            warn("worker " + std::to_string(pid) +
+                 " did not exit within 30 s; killed it");
+}
+
+/**
  * `population --distributed N`: run the campaign through the
  * coordinator/worker service instead of in-process threads — an
  * in-process coordinator loop plus N spawned wsel_worker
@@ -470,13 +479,11 @@ cmdPopulationDistributed(const Args &args)
         // exits and shuts the workers down.
     } catch (...) {
         coordinator.requestStop();
-        for (pid_t pid : workers)
-            (void)serve::waitProcess(pid);
+        reapWorkers(workers);
         loop.join();
         throw;
     }
-    for (pid_t pid : workers)
-        (void)serve::waitProcess(pid);
+    reapWorkers(workers);
     loop.join();
     return rc;
 }
@@ -905,7 +912,7 @@ cmdCache(int argc, char **argv)
         WSEL_FATAL("no cache directory configured "
                    "(WSEL_CACHE_DIR is empty)");
     const bool quarantine = args.getU64("quarantine", 0) != 0;
-    std::size_t ok = 0, corrupt = 0, journals = 0;
+    std::size_t ok = 0, corrupt = 0, partial = 0;
     std::vector<std::filesystem::path> entries;
     std::error_code ec;
     for (std::filesystem::directory_iterator it(dir, ec), end;
@@ -923,34 +930,29 @@ cmdCache(int argc, char **argv)
             (name.size() >= 5 &&
              name.compare(name.size() - 5, 5, ".lock") == 0))
             continue;
-        if (name.size() >= 8 &&
-            name.compare(name.size() - 8, 8, ".partial") == 0) {
-            ++journals;
-            std::printf("JOURNAL %s (interrupted campaign; will "
-                        "resume on next run)\n",
-                        p.c_str());
-            continue;
-        }
-        const bool is_campaign =
-            name.rfind("campaign_", 0) == 0 &&
-            name.size() >= 4 &&
-            name.compare(name.size() - 4, 4, ".csv") == 0;
+        const bool is_campaign = name.rfind("campaign_v3_", 0) == 0 &&
+                                 std::filesystem::is_directory(path);
         const bool is_model = name.rfind("badco_", 0) == 0 &&
                               name.size() >= 4 &&
                               name.compare(name.size() - 4, 4,
                                            ".bin") == 0;
         if (!is_campaign && !is_model)
             continue;
+        if (is_campaign && !persist::isV3CampaignDir(p)) {
+            ++partial;
+            std::printf("PARTIAL %s (interrupted campaign; resumes "
+                        "from its shards on the next run)\n",
+                        p.c_str());
+            continue;
+        }
         std::string why;
         try {
             if (is_campaign) {
                 const Campaign c = Campaign::load(p);
                 std::printf("OK      %s (%s, %u cores, %zu policies "
-                            "x %zu workloads%s)\n",
+                            "x %zu workloads)\n",
                             p.c_str(), c.simulator.c_str(), c.cores,
-                            c.policies.size(), c.workloads.size(),
-                            c.formatVersion < 2 ? ", legacy v1"
-                                                : "");
+                            c.policies.size(), c.workloads.size());
             } else {
                 const BadcoModel m = BadcoModel::loadFile(p);
                 std::printf("OK      %s (model '%s', %zu nodes)\n",
@@ -974,8 +976,8 @@ cmdCache(int argc, char **argv)
                         why.c_str());
         }
     }
-    std::printf("%zu ok, %zu corrupt, %zu resumable journal%s\n",
-                ok, corrupt, journals, journals == 1 ? "" : "s");
+    std::printf("%zu ok, %zu corrupt, %zu partial\n", ok, corrupt,
+                partial);
     return corrupt == 0 ? 0 : 1;
 }
 
@@ -990,7 +992,7 @@ PairData
 loadPair(const Args &args)
 {
     if (!args.has("campaign"))
-        WSEL_FATAL("this command requires --campaign FILE");
+        WSEL_FATAL("this command requires --campaign DIR");
     PairData p{Campaign::load(args.get("campaign", "")),
                parseMetric(args.get("metric", "IPCT")),
                {},
@@ -1189,7 +1191,7 @@ int
 cmdReport(const Args &args)
 {
     if (!args.has("campaign") || !args.has("out"))
-        WSEL_FATAL("report requires --campaign FILE --out FILE.md");
+        WSEL_FATAL("report requires --campaign DIR --out FILE.md");
     const Campaign c = Campaign::load(args.get("campaign", ""));
     ReportInput in;
     in.title = "wsel campaign report (" + c.simulator + ", " +
@@ -1219,11 +1221,11 @@ usage()
         "commands:\n"
         "  characterize [--cores K] [--insns N] [--jobs N]\n"
         "      per-benchmark features and Table-IV classes\n"
-        "  campaign --out FILE [--cores K] [--insns N]\n"
+        "  campaign --out DIR [--cores K] [--insns N]\n"
         "      [--policies LRU,DIP,...] [--limit N] [--resume 0|1]\n"
         "      [--jobs N]\n"
-        "      BADCO campaign saved as CSV, checkpointed to\n"
-        "      FILE.partial\n"
+        "      BADCO campaign into a campaign_v3 dir; a rerun\n"
+        "      resumes from its shards\n"
         "  population --out DIR [--cores K] [--insns N]\n"
         "      [--policies LRU,...] [--shard-size CELLS]\n"
         "      [--jobs N] [--first R] [--last R|--limit N]\n"
@@ -1266,16 +1268,16 @@ usage()
         "      keeping finished shards in the store;\n"
         "      --escalate-budget F > 0 re-leases suspect shards at\n"
         "      detailed fidelity after the BADCO sweep commits\n"
-        "  analyze --campaign FILE --x POL --y POL [--metric M]\n"
+        "  analyze --campaign DIR --x POL --y POL [--metric M]\n"
         "      cv, 1/cv, eq. 8 sample size, regime, CI estimates\n"
-        "  select --campaign FILE --x POL --y POL --size W\n"
+        "  select --campaign DIR --x POL --y POL --size W\n"
         "      [--method random|balanced|bench|workload]\n"
         "      emit a workload sample for a detailed simulator\n"
-        "  confidence --campaign FILE --x POL --y POL --size W\n"
+        "  confidence --campaign DIR --x POL --y POL --size W\n"
         "      [--draws D]\n"
         "      model vs empirical confidence at one sample size\n"
         "  simulate --workload b1+b2+... [--policy LRU] [--insns N]\n"
-        "  report --campaign FILE --out FILE.md\n"
+        "  report --campaign DIR --out FILE.md\n"
         "  cache verify [--dir DIR] [--quarantine 0|1]\n"
         "\n"
         "common options: --jobs N (0 = $WSEL_JOBS, else hardware),\n"
