@@ -225,70 +225,6 @@ BENCHMARK(BM_SwarTagCompare)
     ->Arg(static_cast<int>(tagscan::Path::Sse2))
     ->Arg(static_cast<int>(tagscan::Path::Avx2));
 
-// A gathered sweep of 16 independent 16-way probes (the wavefront
-// engine's shape: one parked probe per resident cell, disjoint tag
-// arrays), per implementation. Items = probes, so the per-probe
-// cost is directly comparable with BM_SwarTagCompare's single-probe
-// numbers — the difference is the call amortization and (on AVX2)
-// the 2-probe 256-bit pairing the gathered kernels can afford.
-void
-BM_GatheredTagScan(benchmark::State &state)
-{
-    const auto path = static_cast<tagscan::Path>(state.range(0));
-#ifdef WSEL_TAGSCAN_X86
-    if (static_cast<int>(path) >
-        static_cast<int>(tagscan::activePath())) {
-        state.SkipWithError("path unsupported on this host");
-        return;
-    }
-#else
-    if (static_cast<int>(path) >=
-        static_cast<int>(tagscan::Path::Sse2)) {
-        state.SkipWithError("x86-only path");
-        return;
-    }
-#endif
-    constexpr std::size_t kProbes = 16;
-    alignas(64) static std::uint32_t tags[kProbes][16];
-    tagscan::Probe probes[kProbes];
-    for (std::size_t p = 0; p < kProbes; ++p) {
-        for (std::uint32_t w = 0; w < 16; ++w)
-            tags[p][w] = ((w + 1) << 1) | 1;
-        probes[p] = {tags[p], 16, 0};
-    }
-    std::uint32_t out[kProbes];
-    std::uint32_t i = 0;
-    for (auto _ : state) {
-        for (std::size_t p = 0; p < kProbes; ++p)
-            probes[p].want = ((((i + p) & 15) + 1) << 1) | 1;
-        ++i;
-        switch (path) {
-#ifdef WSEL_TAGSCAN_X86
-          case tagscan::Path::Avx2:
-            tagscan::findManyAvx2(probes, kProbes, out);
-            break;
-          case tagscan::Path::Sse2:
-            tagscan::findManySse2(probes, kProbes, out);
-            break;
-#endif
-          case tagscan::Path::Swar:
-            tagscan::findManySwar(probes, kProbes, out);
-            break;
-          default:
-            tagscan::findManyScalar(probes, kProbes, out);
-            break;
-        }
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetLabel(tagscan::toString(path));
-    state.SetItemsProcessed(state.iterations() * kProbes);
-}
-BENCHMARK(BM_GatheredTagScan)
-    ->Arg(static_cast<int>(tagscan::Path::Scalar))
-    ->Arg(static_cast<int>(tagscan::Path::Swar))
-    ->Arg(static_cast<int>(tagscan::Path::Sse2))
-    ->Arg(static_cast<int>(tagscan::Path::Avx2));
-
 // Whole cells through the batched engine (sim/batch.hh) at batch
 // size B: the per-cell cost including uncore construction and lane
 // reset, i.e. what a population shard pays per (workload, policy)
@@ -320,44 +256,6 @@ BM_BatchStep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(32);
-
-// The same per-cell cost under wavefront interleaving: W = batch
-// cells advance in lockstep with W resident uncores and gathered
-// tag-scan sweeps (sim/batch.hh runWavefront). Compare against
-// BM_BatchStep at the same batch size to see what the wave costs
-// or saves per cell. Items = cells.
-void
-BM_WaveStep(benchmark::State &state)
-{
-    constexpr std::uint64_t kTarget = 20000;
-    static const BadcoModel m0 = buildBadcoModel(
-        findProfile("mcf"), CoreConfig{}, kTarget, 6);
-    static const BadcoModel m1 = buildBadcoModel(
-        findProfile("povray"), CoreConfig{}, kTarget, 6);
-    static const std::vector<const BadcoModel *> models = {&m0,
-                                                           &m1};
-    static const std::vector<UncoreConfig> ucfgs = {
-        UncoreConfig::forCores(4, PolicyKind::LRU)};
-    const auto batch = static_cast<std::uint32_t>(state.range(0));
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, 4,
-                            kTarget, models, batch, batch);
-    if (runner.wave() != batch) {
-        state.SkipWithError("wave clamped below batch "
-                            "(WSEL_WAVE_MEM too small)");
-        return;
-    }
-    const std::uint32_t benches[4] = {0, 1, 0, 1};
-    std::vector<double> out(static_cast<std::size_t>(batch) * 4);
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        for (std::uint32_t i = 0; i < batch; ++i)
-            runner.add(seed++, 0, {benches, 4}, out.data() + i * 4);
-        runner.run();
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_WaveStep)->Arg(2)->Arg(8)->Arg(32);
 
 // Pinning a batch's trace chunks up front (trace/trace_store.hh
 // BatchPin): the per-batch fixed cost the detailed path pays to

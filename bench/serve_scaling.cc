@@ -106,8 +106,8 @@ runDistributed(const serve::CampaignSpec &spec,
     const auto t0 = std::chrono::steady_clock::now();
     {
         serve::Client client(opts.socketPath);
-        const serve::StatusMsg st =
-            client.waitFinished(client.submit(spec));
+        const serve::StatusMsg st = client.waitFinished(
+            client.submit(spec), std::chrono::seconds(60));
         r.seconds = secondsSince(t0);
         if (st.state != serve::CampaignState::Done)
             WSEL_FATAL("distributed bench campaign failed: "

@@ -38,9 +38,9 @@ void
 BadcoMachine::run(std::uint64_t until)
 {
     if (stopAtTarget_)
-        badco::runLane<false, true>(lane_, env_, uncore_, until);
+        badco::runLane<true>(lane_, env_, uncore_, until);
     else
-        badco::runLane<false, false>(lane_, env_, uncore_, until);
+        badco::runLane<false>(lane_, env_, uncore_, until);
 }
 
 } // namespace wsel

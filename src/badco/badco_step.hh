@@ -2,10 +2,9 @@
  * @file
  * The BADCO node walk — the one definition of how a BADCO core
  * advances. BadcoMachine (one lane, any UncoreIf) and the batched
- * cell engine (sim/batch.hh: B x K lanes, devirtualized Uncore,
- * optionally parking loads for a gathered tag-scan sweep) both step
- * through runLane() below, so a batched shard is bitwise identical
- * to the serial engine by construction.
+ * cell engine (sim/batch.hh: B x K lanes, devirtualized Uncore) both
+ * step through runLane() below, so a batched shard is bitwise
+ * identical to the serial engine by construction.
  *
  * Timing semantics: nodes execute in order, each consuming its
  * intrinsic weight of core cycles. A node's request issues at the
@@ -123,35 +122,20 @@ finishNode(LaneState &s, const LaneEnv &e)
 /**
  * Step one lane node by node until its clock reaches @p until.
  *
- * @tparam kParkLoads Loads stop at Uncore::accessBegin(): the pending
- *         access goes to @p parked and runLane() returns true, so a
- *         wave driver can gather the tag scan; the next call passes
- *         the scan's way index as @p resume_way to finish it first.
- *         Otherwise loads call access() inline. Stores, prefetches
- *         and writebacks always run inline — nothing reads their
- *         completion.
  * @tparam kHaltAtTarget Once the target is reached the lane idles
  *         to @p until instead of restarting the thread (the
  *         BadcoMulticoreSim::restartFinishedThreads(false) ablation).
  * @tparam UncoreT Uncore (devirtualized) or UncoreIf (test fakes,
  *         calibration uncores).
- * @return true when the lane parked at a load.
  */
-template <bool kParkLoads, bool kHaltAtTarget, class UncoreT>
-[[gnu::always_inline]] // the wave driver calls it once per load
-inline bool
+template <bool kHaltAtTarget, class UncoreT>
+[[gnu::always_inline]] // the batch quantum loop calls it per lane
+inline void
 runLane(LaneState &lane, const LaneEnv env, UncoreT &unc,
-        std::uint64_t until, Uncore::PendingAccess *parked = nullptr,
-        const std::uint32_t *resume_way = nullptr)
+        std::uint64_t until)
 {
     // State in locals for the loop; written back once at the end.
     LaneState s = lane;
-    if constexpr (kParkLoads) {
-        if (resume_way) {
-            finishLoad(s, env, unc.accessFinish(*parked, *resume_way));
-            finishNode(s, env);
-        }
-    }
     const BadcoModel &m = *env.model;
     const std::size_t ncount = m.nodeWeight.size();
     const std::uint32_t *nw = m.nodeWeight.data();
@@ -161,7 +145,6 @@ runLane(LaneState &lane, const LaneEnv env, UncoreT &unc,
     const std::uint8_t *nt = m.nodeType.data();
     const std::int64_t *nd = m.nodeDependsOn.data();
 
-    bool park = false;
     while (s.clock < until) {
         if constexpr (kHaltAtTarget) {
             if (s.cyclesToTarget != 0) {
@@ -219,15 +202,9 @@ runLane(LaneState &lane, const LaneEnv env, UncoreT &unc,
                     s.clock = s.outMin;
                 expire(s, env);
             }
-            if constexpr (kParkLoads) {
-                *parked = unc.accessBegin(s.clock, env.core, vaddr,
-                                          false, pc, false);
-                park = true;
-            } else {
-                finishLoad(s, env,
-                           unc.access(s.clock, env.core, vaddr, false,
-                                      pc, false));
-            }
+            finishLoad(s, env,
+                       unc.access(s.clock, env.core, vaddr, false, pc,
+                                  false));
             break;
           }
           case BadcoReqType::Store:
@@ -240,12 +217,9 @@ runLane(LaneState &lane, const LaneEnv env, UncoreT &unc,
             unc.writeback(s.clock, env.core, vaddr);
             break;
         }
-        if (park)
-            break;
         finishNode(s, env);
     }
     lane = s;
-    return park;
 }
 
 } // namespace wsel::badco

@@ -122,6 +122,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"scheduler.queue_ns", 'h'},
     {"scheduler.run_ns", 'h'},
     {"campaign.cells", 'c'},
+    {"campaign.cells_resumed", 'c'},
     {"campaign.cells_per_sec", 'g'},
     {"persist.cache_hit", 'c'},
     {"persist.cache_miss", 'c'},
@@ -136,15 +137,13 @@ constexpr CatalogEntry kCatalog[] = {
     {"batch.lanes_active", 'g'},
     {"batch.chunk_pins_saved", 'c'},
     {"batch.simd_path", 'g'},
-    {"batch.wave", 'g'},
-    {"batch.probes_gathered", 'c'},
-    {"batch.uncores_resident", 'g'},
     {"trace_store.chunks_built", 'c'},
     {"trace_store.chunk_hits", 'c'},
     {"trace_store.chunks_evicted", 'c'},
     {"trace_store.resident_bytes", 'g'},
     {"trace_store.build_ns", 'h'},
     {"population.cells", 'c'},
+    {"population.cells_resumed", 'c'},
     {"population.shards_written", 'c'},
     {"population.bytes", 'c'},
     {"population.cells_per_sec", 'g'},

@@ -530,10 +530,11 @@ Client::stop(std::uint64_t id)
 }
 
 StatusMsg
-Client::waitFinished(std::uint64_t id, int poll_ms, int timeout_ms)
+Client::waitFinished(std::uint64_t id,
+                     std::optional<std::chrono::milliseconds> deadline,
+                     int poll_ms)
 {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
+    const auto t0 = std::chrono::steady_clock::now();
     for (;;) {
         const StatusMsg s = status(id);
         if (s.state == CampaignState::Done ||
@@ -543,10 +544,11 @@ Client::waitFinished(std::uint64_t id, int poll_ms, int timeout_ms)
         if (s.state == CampaignState::Unknown)
             WSEL_FATAL("campaign " << id
                        << " unknown to the daemon");
-        if (std::chrono::steady_clock::now() >= deadline)
+        if (deadline &&
+            std::chrono::steady_clock::now() - t0 >= *deadline)
             WSEL_FATAL("campaign " << id << " still "
                        << toString(s.state) << " after "
-                       << timeout_ms << " ms");
+                       << deadline->count() << " ms");
         std::this_thread::sleep_for(
             std::chrono::milliseconds(poll_ms));
     }

@@ -30,6 +30,7 @@
 #ifndef WSEL_SERVE_PROTOCOL_HH
 #define WSEL_SERVE_PROTOCOL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -340,11 +341,16 @@ class Client
     std::string stop(std::uint64_t id);
 
     /**
-     * Poll status until Done, Failed or Stopped (or @p timeout_ms
-     * elapses: FatalError).  Returns the final status.
+     * Poll status every @p poll_ms until Done, Failed or Stopped;
+     * returns the final status.  With a @p deadline, FatalError
+     * once it elapses (tests, benches: a wedged campaign fails
+     * fast); with std::nullopt, wait as long as the daemon answers
+     * (the CLI: a long campaign making progress must not abort).
      */
-    StatusMsg waitFinished(std::uint64_t id, int poll_ms = 50,
-                           int timeout_ms = 600000);
+    StatusMsg waitFinished(
+        std::uint64_t id,
+        std::optional<std::chrono::milliseconds> deadline,
+        int poll_ms = 50);
 
   private:
     Frame roundTrip(MsgType type, std::string_view body,

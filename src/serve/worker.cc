@@ -111,10 +111,9 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
     std::vector<double> payload;
     try {
         if (ctx.fidelity() == 0)
-            // Batch and wave sizes from WSEL_BATCH_CELLS /
-            // WSEL_BATCH_WAVE (resolver defaults otherwise);
-            // neither ever changes shard bytes, so mixed worker
-            // fleets stay coherent.
+            // Batch size from WSEL_BATCH_CELLS (resolver default
+            // otherwise); it never changes shard bytes, so mixed
+            // worker fleets stay coherent.
             simulatePopulationShardBatched(
                 m, ctx.population(), ctx.uncores(), ctx.models(),
                 ctx.seed(), lease.shard, 0, 0, payload, tick);

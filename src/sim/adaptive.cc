@@ -288,8 +288,7 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                     static_cast<std::size_t>(r1 - r0) * 2 * k, 0.0);
                 BadcoBatchRunner runner(
                     {ucfgs.data(), ucfgs.size()}, k, target_uops,
-                    models, batch_cells,
-                    resolveBatchWave(opts.batchWave));
+                    models, batch_cells);
                 std::vector<std::uint32_t> benches;
                 for (std::uint64_t r = r0; r < r1; ++r) {
                     const std::uint64_t rank = batch.ranks[r];

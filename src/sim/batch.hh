@@ -11,44 +11,31 @@
  * state (badco/badco_step.hh LaneState) and outstanding-miss and
  * load-completion arrays, and a quantum loop advances all K lanes
  * of a cell together through the rotating schedule. Cells execute
- * cell-major by default — each runs to completion before the next
- * starts — because cells share nothing:
- * any cross-cell interleaving is bitwise identical, and cell-major
- * keeps exactly one uncore's working set (tags, page table,
- * prefetcher state) hot in the host cache while peak RSS stays
- * flat in B. What the batch amortizes is setup: one runner's lane
- * slabs, load-completion arena and uncore slot are reused by every
- * cell, the batch's cells share benchmark model node arrays, and
- * the detailed path pins each row's trace chunks once per batch
- * (trace/trace_store.hh BatchPin). Cells own private Uncore
- * instances (the paper's sharing is within a cell, never across
- * cells) stepped through devirtualized calls; the packed 32-bit
- * LLC tag arrays they probe resolve through the runtime-dispatched
- * SWAR/SSE2/AVX2 tag-scan paths (cache/tagscan.hh, WSEL_SIMD).
- *
- * Wavefront mode (--batch-wave / WSEL_BATCH_WAVE) exploits that
- * same share-nothing structure the other way: W cells advance in
- * lockstep, one quantum at a time, with W uncores resident
- * simultaneously. Each cell's lane stepping *parks* at its next
- * LLC access (mem/uncore.hh accessBegin) and the wave driver
- * resolves all parked cells' tag scans in one gathered SIMD sweep
- * (cache/tagscan.hh findMany) before resuming them — the probes
- * touch W disjoint tag arrays, so gathering is free of conflicts
- * by construction, and the per-cell operation order is untouched,
- * so shard artifacts stay byte-for-byte identical at every
- * (wave, batch, jobs) combination, including kill/resume at a
- * different wave size (tests/test_batch.cc). W is clamped so the
- * resident uncore working set fits WSEL_WAVE_MEM (MiB).
+ * cell-major — each runs to completion before the next starts —
+ * because cells share nothing: any cross-cell interleaving is
+ * bitwise identical, and cell-major keeps exactly one uncore's
+ * working set (tags, page table, prefetcher state) hot in the host
+ * cache while peak RSS stays flat in B. What the batch amortizes is
+ * setup: one runner's lane slabs, load-completion arena and uncore
+ * slot are reused by every cell, the batch's cells share benchmark
+ * model node arrays, and the detailed path pins each row's trace
+ * chunks once per batch (trace/trace_store.hh BatchPin). Cells own
+ * private Uncore instances (the paper's sharing is within a cell,
+ * never across cells) stepped through devirtualized calls; the
+ * packed 32-bit LLC tag arrays they probe resolve through the
+ * runtime-dispatched SWAR/SSE2/AVX2 tag-scan paths
+ * (cache/tagscan.hh, WSEL_SIMD). Cells are deliberately not
+ * interleaved: stepping several resident cells in lockstep to
+ * gather their tag scans measured slower on full campaigns
+ * (docs/PERFORMANCE.md, "Wavefront interleaving (removed)").
  *
  * Determinism contract (docs/PARALLELISM.md): every cell is an
  * independent computation — its own seed (campaignCellSeed keyed by
- * absolute rank), its own uncore, its own lanes — so interleaving
- * cells at quantum granularity cannot change any cell's result.
- * Lanes step through the same kernel as BadcoMachine
- * (badco::runLane), and the quantum loop below follows the
- * BadcoMulticoreSim rotating-quantum schedule, so a batched shard is
- * bitwise identical to the serial engine at every (batch, wave,
- * jobs) combination (tests/test_batch.cc).
+ * absolute rank), its own uncore, its own lanes. Lanes step through
+ * the same kernel as BadcoMachine (badco::runLane), and the quantum
+ * loop below follows the BadcoMulticoreSim rotating-quantum
+ * schedule, so a batched shard is bitwise identical to the serial
+ * engine at every (batch, jobs) combination (tests/test_batch.cc).
  *
  * Batch construction order: callers append cells in row-major
  * (rank, policy) order, which already maximizes shared-benchmark
@@ -56,14 +43,12 @@
  * benchmark models and are adjacent in the batch, so their model
  * node arrays stay hot across lanes.
  *
- * Knobs: --batch-cells / WSEL_BATCH_CELLS picks B (default 32,
- * 1 disables batching structurally — one cell per run());
- * --batch-wave / WSEL_BATCH_WAVE picks W (default 1 = cell-major);
- * WSEL_WAVE_MEM caps the resident-uncore budget in MiB.
- * Instruments: batch.cells, batch.lanes_active, batch.wave,
- * batch.uncores_resident, batch.probes_gathered,
+ * Knob: --batch-cells / WSEL_BATCH_CELLS picks B (default 32,
+ * 1 disables batching structurally — one cell per run()).
+ * Instruments: batch.cells, batch.lanes_active,
  * batch.chunk_pins_saved (trace/trace_store.hh BatchPin),
- * batch.simd_path (the resolved tagscan path).
+ * batch.simd_path (the resolved tagscan path), and per cell
+ * sim.badco.cells / sim.badco.cell_ns.
  */
 
 #ifndef WSEL_SIM_BATCH_HH
@@ -76,7 +61,6 @@
 
 #include "badco/badco_model.hh"
 #include "badco/badco_step.hh"
-#include "cache/tagscan.hh"
 #include "mem/uncore.hh"
 #include "mem/uncore_config.hh"
 
@@ -89,12 +73,6 @@ inline constexpr std::uint32_t kDefaultBatchCells = 32;
 /** Upper clamp on cells per batch (bounds lane-slab memory). */
 inline constexpr std::uint32_t kMaxBatchCells = 4096;
 
-/** Default wave width when WSEL_BATCH_WAVE is unset: cell-major. */
-inline constexpr std::uint32_t kDefaultBatchWave = 1;
-
-/** Resident-uncore budget (MiB) when WSEL_WAVE_MEM is unset. */
-inline constexpr std::uint64_t kDefaultWaveMemMib = 256;
-
 /**
  * Resolve the batch size: @p requested when nonzero, else
  * WSEL_BATCH_CELLS, else kDefaultBatchCells; clamped to
@@ -102,24 +80,6 @@ inline constexpr std::uint64_t kDefaultWaveMemMib = 256;
  * batch); the result is still bitwise identical at any value.
  */
 std::uint32_t resolveBatchCells(std::uint32_t requested);
-
-/**
- * Resolve the wave width: @p requested when nonzero, else
- * WSEL_BATCH_WAVE, else kDefaultBatchWave; clamped to
- * [1, kMaxBatchCells]. 1 means cell-major (today's path); the
- * engine additionally clamps so the wave's resident uncores fit
- * the WSEL_WAVE_MEM budget. Bitwise identical at any value.
- */
-std::uint32_t resolveBatchWave(std::uint32_t requested);
-
-/**
- * Approximate host bytes one resident Uncore pins while its cell
- * is in flight (LLC tag/dirty/replacement state, page table,
- * translation cache, prefetchers). Used only for the WSEL_WAVE_MEM
- * wave clamp — an estimate, never load-bearing for results.
- */
-std::size_t estimateUncoreFootprint(const UncoreConfig &cfg,
-                                    std::uint32_t cores);
 
 /**
  * Executes batches of BADCO cells as kernel lanes. One
@@ -140,9 +100,6 @@ class BadcoBatchRunner
      * @param models One BADCO model per suite benchmark
      *        (caller-owned).
      * @param batch_cells Cells per batch (use resolveBatchCells).
-     * @param wave Wave width W (use resolveBatchWave); 1 =
-     *        cell-major. Clamped to the batch size and the
-     *        WSEL_WAVE_MEM resident-uncore budget.
      * @param window BADCO window override; 0 = per-model
      *        calibrated window (the campaign default).
      * @param max_outstanding Outstanding-load cap per lane.
@@ -155,7 +112,6 @@ class BadcoBatchRunner
                      std::uint32_t cores, std::uint64_t target_uops,
                      const std::vector<const BadcoModel *> &models,
                      std::uint32_t batch_cells,
-                     std::uint32_t wave = 1,
                      std::uint32_t window = 0,
                      std::uint32_t max_outstanding = 16,
                      std::uint64_t quantum = 50);
@@ -183,36 +139,18 @@ class BadcoBatchRunner
     /** Resolved batch capacity B. */
     std::uint32_t capacity() const { return batchCells_; }
 
-    /** Resolved wave width W after batch and budget clamps. */
-    std::uint32_t wave() const { return wave_; }
-
     /** Run all pending cells to completion and clear the batch. */
     void run();
 
   private:
-    /** The kernel environment of @p lane, its load completions at
-     *  @p load_base in the loadComp_ arena. */
-    badco::LaneEnv laneEnv(std::size_t lane, std::size_t load_base);
-
-    /**
-     * Steps @p lane of wave slot @p slot until it either reaches
-     * @p until (returns false) or parks at a load's accessBegin()
-     * whose tag scan the wave driver should gather (returns true).
-     * On re-entry with waveParked_[slot] set the parked load is
-     * finished with waveResume_[slot] first.
-     */
-    bool runLaneWave(std::size_t slot, std::size_t lane,
-                     Uncore &unc, std::uint64_t until);
-
-    /** Wave-interleaved run(): W uncores resident in lockstep. */
-    void runWavefront();
+    /** The kernel environment of @p lane. */
+    badco::LaneEnv laneEnv(std::size_t lane);
 
     std::span<const UncoreConfig> ucfgs_;
     const std::uint32_t cores_;
     const std::uint64_t targetUops_;
     const std::vector<const BadcoModel *> &models_;
     const std::uint32_t batchCells_;
-    const std::uint32_t wave_;
     const std::uint32_t windowOverride_;
     const std::uint32_t maxOutstanding_;
     const std::uint64_t quantum_;
@@ -226,8 +164,6 @@ class BadcoBatchRunner
     std::vector<std::uint64_t> cellSeed_;
     std::vector<std::uint32_t> cellPolicy_;
     std::vector<double *> cellOut_;
-    /** Per-cell loadComp_ arena watermark (sum of lane spans). */
-    std::vector<std::size_t> cellLoads_;
     /** @} */
 
     /** @name Per-lane state, lane = cell * cores_ + core. */
@@ -248,36 +184,6 @@ class BadcoBatchRunner
     std::vector<std::uint64_t> outMark_;
     /** Per-iteration load completions, packed by loadOff_. */
     std::vector<std::uint64_t> loadComp_;
-    /** @} */
-
-    /** @name Wave state, indexed by wave slot [0, group size). */
-    /** @{ */
-    /** Resident uncores of the in-flight wave group. */
-    std::vector<std::optional<Uncore>> waveUnc_;
-    /** Per-cell quantum deadline t of the rotating schedule. */
-    std::vector<std::uint64_t> waveT_;
-    /** Per-cell rotation origin (BadcoMulticoreSim's `first`). */
-    std::vector<std::uint32_t> waveFirst_;
-    /** Lanes already visited in the current quantum rotation. */
-    std::vector<std::uint32_t> waveRot_;
-    std::vector<std::uint8_t> waveDone_;
-    std::vector<std::uint8_t> waveStepping_;
-    /** Cell parked at a load (only loads park: nothing reads the
-     *  completion of a store, prefetch or writeback). */
-    std::vector<std::uint8_t> waveParked_;
-    /** The parked access, valid while waveParked_ is set. */
-    std::vector<Uncore::PendingAccess> wavePend_;
-    /** Way index handed back to the parked cell by the sweep. */
-    std::vector<std::uint32_t> waveResume_;
-    /** Gather buffers of one sweep: cells, probes, way results. */
-    std::vector<std::uint32_t> wavePendCell_;
-    std::vector<tagscan::Probe> waveProbe_;
-    std::vector<std::uint32_t> waveWay_;
-    /** loadComp_ bytes per wave slot: with W cells resident the
-     *  arena can no longer be shared (cell-major lets every cell
-     *  reuse region [0, cellLoads_)), so each slot gets its own
-     *  stride-sized region for the lifetime of its group. */
-    std::size_t waveLoadStride_ = 0;
     /** @} */
 };
 

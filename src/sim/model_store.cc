@@ -96,8 +96,21 @@ BadcoModelStore::loadOrBuild(const BenchmarkProfile &profile,
     obs::counter("badco.models_built").inc();
     obs::histogram("badco.build_ns").record(t1 - t0);
 
-    if (!cacheDir_.empty())
-        m.saveFile(cachePath(profile));
+    if (!cacheDir_.empty()) {
+        // The directory may have vanished since construction (a
+        // concurrent cleanup); recreate it, and if the model still
+        // cannot be written, keep it in memory only — a cache
+        // write must never fail the campaign.
+        const std::string path = cachePath(profile);
+        std::error_code ec;
+        std::filesystem::create_directories(cacheDir_, ec);
+        try {
+            m.saveFile(path);
+        } catch (const FatalError &e) {
+            warn("cannot save BADCO model cache " + path + " (" +
+                 e.what() + "); continuing without persistence");
+        }
+    }
     return m;
 }
 

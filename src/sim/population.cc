@@ -157,7 +157,7 @@ simulatePopulationShardBatched(
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::uint32_t batch_cells, std::uint32_t batch_wave,
+    std::uint32_t batch_cells, std::uint32_t /*batch_wave*/,
     std::vector<double> &payload,
     const std::function<void()> &tick)
 {
@@ -168,8 +168,7 @@ simulatePopulationShardBatched(
         static_cast<std::size_t>(m.rowsInShard(shard)) * np * k, 0.0);
     BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
                             m.targetUops, models,
-                            resolveBatchCells(batch_cells),
-                            resolveBatchWave(batch_wave));
+                            resolveBatchCells(batch_cells));
     forEachShardRow(
         m, pop, shard,
         [&](std::uint64_t r, std::uint64_t pos,
@@ -273,6 +272,7 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
                     persist::readV3Shard(dir, m, s);
                 consume(s, {payload.data(), payload.size()});
                 outcomes[s].resumed = true;
+                obs::counter(runner + ".cells_resumed").inc(cells);
                 return;
             } catch (const persist::CacheInvalid &e) {
                 if (fs::exists(shard_path)) {
@@ -433,14 +433,12 @@ runBadcoPopulationCampaign(
         m.shardCount());
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
-    const std::uint32_t batch_wave =
-        resolveBatchWave(opts.batchWave);
     const ShardLoopStats st = runV3Shards(
         m, out_dir, jobs, opts.verbose, "population",
         [&](std::uint64_t s, std::vector<double> &payload) {
             simulatePopulationShardBatched(m, pop, ucfgs, models,
                                            opts.seed, s, batch_cells,
-                                           batch_wave, payload);
+                                           0, payload);
         },
         [&](std::uint64_t s, std::span<const double> payload) {
             parts[s] = makeAccumulators(pairs, opts);

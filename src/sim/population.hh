@@ -129,14 +129,6 @@ struct PopulationOptions
      * serially. Results are bitwise identical at every value.
      */
     std::uint32_t batchCells = 0;
-
-    /**
-     * Wave width for the wavefront batch engine: 0 resolves
-     * WSEL_BATCH_WAVE (default 1 = cell-major), W > 1 steps W
-     * cells in lockstep with gathered tag scans. Results are
-     * bitwise identical at every value.
-     */
-    std::uint32_t batchWave = 0;
 };
 
 /** Result of a population campaign run. */
@@ -197,12 +189,13 @@ void simulatePopulationShard(
  * and bitwise-identical payload, but cells run through the
  * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells
  * (resolved via resolveBatchCells; 1 behaves like the serial
- * engine) with wave width @p batch_wave (resolved via
- * resolveBatchWave; >1 interleaves cells in lockstep waves). The
- * "population.cell" fault point still fires once per cell, at
- * batch-append time — a fault or SIGKILL mid-batch abandons the
- * whole (unwritten) shard exactly as the serial engine's mid-shard
- * fault does, so resume semantics are unchanged at any wave size.
+ * engine). @p batch_wave is ignored: it names the width of a
+ * removed wavefront mode and stays only so existing callers keep
+ * compiling. The "population.cell" fault point still fires once
+ * per cell, at batch-append time — a fault or SIGKILL mid-batch
+ * abandons the whole (unwritten) shard exactly as the serial
+ * engine's mid-shard fault does, so resume semantics are unchanged
+ * at any batch size.
  */
 void simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -249,8 +242,9 @@ struct ShardLoopStats
  * to @p consume.  Shards run on min(jobs, shards) threads (@p jobs
  * resolved by exec::resolveJobs), so @p consume may run
  * concurrently for different shards.  Each simulated shard is a
- * "<runner>.shard" span and counts its cells into "<runner>.cells";
- * the loop sets "<runner>.cells_per_sec".  @p dir is created when
+ * "<runner>.shard" span and counts its cells into "<runner>.cells",
+ * each reused one into "<runner>.cells_resumed"; the loop sets
+ * "<runner>.cells_per_sec".  @p dir is created when
  * missing; the caller commits the manifest.
  */
 ShardLoopStats runV3Shards(

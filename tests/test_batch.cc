@@ -2,16 +2,14 @@
  * @file
  * Tests for the batched BADCO cell engine (sim/batch.hh) and its
  * bitwise-identity contract: a batched population shard must equal
- * the serial engine's bytes at every (batch, wave, jobs)
- * combination, through mid-batch (and mid-wave) kills and resumes
- * — including resume at a different wave size — and under
- * trace-store budget pressure that forces chunk eviction and
- * re-pinning. Also covers the gathered tag-scan sweeps
- * (cache/tagscan.hh findMany*) against the scalar reference on
- * every dispatch tier, the WSEL_WAVE_MEM resident-uncore clamp,
- * and the BatchPin budget semantics: pinned chunks are ineligible
- * eviction victims, and the budget converges as soon as a batch
- * releases its pins.
+ * the serial engine's bytes at every (batch, jobs) combination,
+ * through mid-batch kills and resumes at a different batch size,
+ * and under trace-store budget pressure that forces chunk eviction
+ * and re-pinning. Also covers every single-probe tag-scan path
+ * (cache/tagscan.hh) against the scalar reference, and the
+ * BatchPin budget semantics: pinned chunks are ineligible eviction
+ * victims, and the budget converges as soon as a batch releases
+ * its pins.
  */
 
 #include <cstdlib>
@@ -26,6 +24,7 @@
 #include "cache/tagscan.hh"
 #include "fault_injection.hh"
 #include "mem/uncore_config.hh"
+#include "obs/metrics.hh"
 #include "sim/batch.hh"
 #include "sim/campaign.hh"
 #include "sim/population.hh"
@@ -62,8 +61,6 @@ struct BatchEnvGuard
     ~BatchEnvGuard()
     {
         unsetenv("WSEL_BATCH_CELLS");
-        unsetenv("WSEL_BATCH_WAVE");
-        unsetenv("WSEL_WAVE_MEM");
     }
 };
 
@@ -99,131 +96,68 @@ TEST(ResolveBatchCells, EnvResolvesWhenUnspecified)
 }
 
 // -------------------------------------------------------------------
-// resolveBatchWave
+// Tag-scan paths (cache/tagscan.hh) vs the scalar reference
 // -------------------------------------------------------------------
 
-TEST(ResolveBatchWave, ExplicitRequestWinsAndClamps)
-{
-    BatchEnvGuard env;
-    setenv("WSEL_BATCH_WAVE", "5", 1);
-    // A nonzero request ignores the environment entirely.
-    EXPECT_EQ(resolveBatchWave(7), 7u);
-    EXPECT_EQ(resolveBatchWave(1), 1u);
-    EXPECT_EQ(resolveBatchWave(kMaxBatchCells + 1000),
-              kMaxBatchCells);
-}
-
-TEST(ResolveBatchWave, EnvResolvesWhenUnspecified)
-{
-    BatchEnvGuard env;
-    unsetenv("WSEL_BATCH_WAVE");
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-    setenv("WSEL_BATCH_WAVE", "5", 1);
-    EXPECT_EQ(resolveBatchWave(0), 5u);
-    setenv("WSEL_BATCH_WAVE", "999999", 1);
-    EXPECT_EQ(resolveBatchWave(0), kMaxBatchCells);
-    // Invalid values fall back to the default (with a warning).
-    setenv("WSEL_BATCH_WAVE", "abc", 1);
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-    setenv("WSEL_BATCH_WAVE", "0", 1);
-    EXPECT_EQ(resolveBatchWave(0), kDefaultBatchWave);
-}
-
-// -------------------------------------------------------------------
-// Gathered tag scans (tagscan::findMany*) vs the scalar reference
-// -------------------------------------------------------------------
-
-/** Random packed-tag arrays plus probes with ~50% hit rate. */
-struct GatherFixture
+/** Random packed-tag sets plus wanted tags with ~50% hit rate. */
+struct TagScanFixture
 {
     std::vector<std::uint32_t> tags;
-    std::vector<tagscan::Probe> probes;
+    std::vector<std::uint32_t> want;
 
-    explicit GatherFixture(std::size_t count, std::uint32_t ways,
-                           std::uint64_t seed)
+    TagScanFixture(std::size_t sets, std::uint32_t ways,
+                   std::uint64_t seed)
     {
         std::mt19937_64 rng(seed);
-        tags.resize(count * ways);
+        tags.resize(sets * ways);
         for (auto &t : tags) {
             // Mix of valid tags (low bit set), invalid slots and
-            // duplicates, drawn from a small alphabet so probes
-            // collide often.
-            const std::uint32_t v =
-                static_cast<std::uint32_t>(rng() % 24);
+            // duplicates, drawn from an alphabet as wide as the set
+            // so about half the wanted tags are present.
+            const auto v = static_cast<std::uint32_t>(rng() % ways);
             t = (rng() % 4 == 0) ? 0u : ((v << 1) | 1u);
         }
-        probes.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint32_t v =
-                static_cast<std::uint32_t>(rng() % 24);
-            probes.push_back({tags.data() + i * ways, ways,
-                              (v << 1) | 1u});
+        want.reserve(sets);
+        for (std::size_t i = 0; i < sets; ++i) {
+            const auto v = static_cast<std::uint32_t>(rng() % ways);
+            want.push_back((v << 1) | 1u);
         }
     }
 };
 
-/** Scalar per-probe reference for any gathered kernel. */
-std::vector<std::uint32_t>
-scalarReference(const std::vector<tagscan::Probe> &probes)
+TEST(TagScan, AllPathsMatchScalarReference)
 {
-    std::vector<std::uint32_t> want(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i)
-        want[i] = tagscan::findScalar(probes[i].tags, probes[i].n,
-                                      probes[i].want);
-    return want;
-}
-
-TEST(GatheredTagScan, AllKernelsMatchScalarReference)
-{
-    // Sweep counts across the AVX2 pair/tail boundaries (0, 1, odd,
-    // even) and both 16-way (SIMD fast path) and oddball ways
-    // (per-probe fallback inside the gathered kernels).
+    // 4/8/16 ways cover the SIMD bodies' full-width chunks and
+    // their scalar tails; want == 0 is the fill path's lowest
+    // invalid-way search, which every path must also agree on.
     for (std::uint32_t ways : {4u, 8u, 16u}) {
-        for (std::size_t count :
-             {std::size_t{0}, std::size_t{1}, std::size_t{2},
-              std::size_t{5}, std::size_t{16}, std::size_t{33}}) {
-            const GatherFixture fx(count, ways,
-                                   0x9e3779b9u + ways * 131 + count);
-            const auto want = scalarReference(fx.probes);
-
-            std::vector<std::uint32_t> got(count + 1, 0xdeadbeefu);
-            tagscan::findManyScalar(fx.probes.data(), count,
-                                    got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "scalar ways " << ways << " probe " << i;
-
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findManySwar(fx.probes.data(), count,
-                                  got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "swar ways " << ways << " probe " << i;
-
+        constexpr std::size_t kSets = 64;
+        const TagScanFixture fx(kSets, ways, 0x9e3779b9u + ways);
+        std::size_t hits = 0;
+        for (std::size_t i = 0; i < kSets; ++i) {
+            const std::uint32_t *set = fx.tags.data() + i * ways;
+            for (const std::uint32_t want : {fx.want[i], 0u}) {
+                const std::uint32_t ref =
+                    tagscan::findScalar(set, ways, want);
+                hits += want != 0 && ref < ways;
+                EXPECT_EQ(tagscan::findSwar(set, ways, want), ref)
+                    << "swar ways " << ways << " set " << i;
 #if defined(__x86_64__) || defined(_M_X64)
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findManySse2(fx.probes.data(), count,
-                                  got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "sse2 ways " << ways << " probe " << i;
-
-            if (__builtin_cpu_supports("avx2")) {
-                std::fill(got.begin(), got.end(), 0xdeadbeefu);
-                tagscan::findManyAvx2(fx.probes.data(), count,
-                                      got.data());
-                for (std::size_t i = 0; i < count; ++i)
-                    EXPECT_EQ(got[i], want[i])
-                        << "avx2 ways " << ways << " probe " << i;
-            }
+                EXPECT_EQ(tagscan::findSse2(set, ways, want), ref)
+                    << "sse2 ways " << ways << " set " << i;
+                if (__builtin_cpu_supports("avx2")) {
+                    EXPECT_EQ(tagscan::findAvx2(set, ways, want),
+                              ref)
+                        << "avx2 ways " << ways << " set " << i;
+                }
 #endif
-
-            std::fill(got.begin(), got.end(), 0xdeadbeefu);
-            tagscan::findMany(fx.probes.data(), count, got.data());
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(got[i], want[i])
-                    << "dispatch ways " << ways << " probe " << i;
+                EXPECT_EQ(tagscan::find(set, ways, want), ref)
+                    << "dispatch ways " << ways << " set " << i;
+            }
         }
+        // The fixture must exercise both outcomes.
+        EXPECT_GT(hits, kSets / 4) << "ways " << ways;
+        EXPECT_LT(hits, kSets * 3 / 4) << "ways " << ways;
     }
 }
 
@@ -312,66 +246,16 @@ TEST(BatchEngine, BatchedShardMatchesSerialBitwise)
                                 serial);
         ASSERT_FALSE(serial.empty());
         for (std::uint32_t batch : {1u, 3u, 7u, 32u}) {
-            // Wave 1 is cell-major; larger waves interleave lanes
-            // across resident uncores. All must be bit-identical.
-            for (std::uint32_t wave : {1u, 2u, 3u, 32u}) {
-                std::vector<double> batched;
-                simulatePopulationShardBatched(m, pop, ucfgs,
-                                               models, 1, s, batch,
-                                               wave, batched);
-                ASSERT_EQ(batched.size(), serial.size());
-                for (std::size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_EQ(serial[i], batched[i])
-                        << "shard " << s << " batch " << batch
-                        << " wave " << wave << " lane " << i;
-            }
+            std::vector<double> batched;
+            simulatePopulationShardBatched(m, pop, ucfgs, models, 1,
+                                           s, batch, 0, batched);
+            ASSERT_EQ(batched.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i)
+                EXPECT_EQ(serial[i], batched[i])
+                    << "shard " << s << " batch " << batch
+                    << " lane " << i;
         }
     }
-}
-
-TEST(BatchEngine, WaveClampsToBatchAndMemoryBudget)
-{
-    BatchEnvGuard env;
-    const auto suite = testSuite();
-    BadcoModelStore store(CoreConfig{}, kUops, 5);
-    const auto models = store.getSuite(suite);
-    std::vector<UncoreConfig> ucfgs;
-    for (PolicyKind p : kPolicies)
-        ucfgs.push_back(UncoreConfig::forCores(4, p));
-    const std::span<const UncoreConfig> cfgs{ucfgs.data(),
-                                             ucfgs.size()};
-
-    // A wave wider than the batch is useless: clamp to the batch.
-    BadcoBatchRunner narrow(cfgs, 4, kUops, models, 4, 32);
-    EXPECT_EQ(narrow.wave(), 4u);
-
-    // One resident uncore costs well over a (conservative) page,
-    // so a tiny WSEL_WAVE_MEM budget forces the wave down...
-    const std::size_t per = estimateUncoreFootprint(ucfgs[0], 4);
-    EXPECT_GT(per, std::size_t{64} * 1024);
-    setenv("WSEL_WAVE_MEM", "1", 1); // 1 MiB
-    BadcoBatchRunner tight(cfgs, 4, kUops, models, 64, 64);
-    EXPECT_LE(tight.wave() * per,
-              std::size_t{1} * 1024 * 1024 + per); // >= 1 kept
-    EXPECT_GE(tight.wave(), 1u);
-    EXPECT_LT(tight.wave(), 64u);
-
-    // ...and a roomy budget leaves the request alone.
-    setenv("WSEL_WAVE_MEM", "65536", 1); // 64 GiB
-    BadcoBatchRunner roomy(cfgs, 4, kUops, models, 64, 64);
-    EXPECT_EQ(roomy.wave(), 64u);
-
-    // Clamped runners still produce serial-identical lanes.
-    const WorkloadPopulation pop(3, 4);
-    std::vector<double> serial(4), waved(4);
-    BadcoBatchRunner one(cfgs, 4, kUops, models, 1, 1);
-    const Workload w = pop.unrank(3);
-    one.add(77, 1, {w.benchmarks().data(), 4}, serial.data());
-    tight.add(77, 1, {w.benchmarks().data(), 4}, waved.data());
-    one.run();
-    tight.run();
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(serial[i], waved[i]) << "lane " << i;
 }
 
 // -------------------------------------------------------------------
@@ -390,8 +274,6 @@ class BatchCampaign : public ::testing::Test
         fs::create_directories(dir_);
         unsetenv("WSEL_JOBS");
         unsetenv("WSEL_BATCH_CELLS");
-        unsetenv("WSEL_BATCH_WAVE");
-        unsetenv("WSEL_WAVE_MEM");
     }
 
     void
@@ -408,12 +290,12 @@ class BatchCampaign : public ::testing::Test
 
     /**
      * 2 policies x the full 4-core population over 3 benchmarks
-     * (15 workloads), 8 cells per shard -> 4 shards, run with
-     * explicit batch and wave sizes (wave 1 = cell-major).
+     * (15 workloads), 8 cells per shard -> 4 shards, run with an
+     * explicit batch size.
      */
     PopulationResult
     run(const std::string &out, std::size_t jobs,
-        std::uint32_t batch, std::uint32_t wave = 1)
+        std::uint32_t batch)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -423,7 +305,6 @@ class BatchCampaign : public ::testing::Test
         opts.jobs = jobs;
         opts.shardCells = 8;
         opts.batchCells = batch;
-        opts.batchWave = wave;
         return runBadcoPopulationCampaign(pop, kPolicies, kUops,
                                           store, suite, {}, out,
                                           opts);
@@ -468,80 +349,6 @@ TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossBatchAndJobs)
     }
 }
 
-TEST_F(BatchCampaign, ShardsBitwiseIdenticalAcrossWaveBatchJobs)
-{
-    const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, 1);
-    const auto want = shardBytes(ref, rr.manifest.shardCount());
-    for (const std::string &b : want)
-        ASSERT_FALSE(b.empty());
-
-    for (std::uint32_t wave : {2u, 8u}) {
-        for (std::uint32_t batch : {7u, 32u}) {
-            for (std::size_t jobs :
-                 {std::size_t{1}, std::size_t{8}}) {
-                const std::string out =
-                    path("w" + std::to_string(wave) + "b" +
-                         std::to_string(batch) + "j" +
-                         std::to_string(jobs));
-                const PopulationResult r =
-                    run(out, jobs, batch, wave);
-                ASSERT_EQ(r.manifest.shardCount(),
-                          rr.manifest.shardCount());
-                const auto got =
-                    shardBytes(out, r.manifest.shardCount());
-                for (std::size_t s = 0; s < want.size(); ++s)
-                    EXPECT_EQ(want[s], got[s])
-                        << "shard " << s << " wave " << wave
-                        << " batch " << batch << " jobs " << jobs;
-            }
-        }
-    }
-}
-
-TEST_F(BatchCampaign, KillMidWaveResumesAtDifferentWaveSize)
-{
-    // Reference: serial cell-major at batch 1.
-    const std::string ref = path("ref");
-    const PopulationResult rr = run(ref, 1, 1, 1);
-    const auto want = shardBytes(ref, rr.manifest.shardCount());
-
-    // Kill at the 13th appended cell of a wave-4 batch-32 run: the
-    // whole shard is one pending batch whose lanes advance in
-    // waves of four resident uncores, so the kill lands with a
-    // partially-assembled batch that is abandoned unwritten.
-    const std::string out = path("v3");
-    {
-        test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out, 1, 32, 4), test::InjectedFault);
-    }
-    EXPECT_FALSE(persist::isV3CampaignDir(out));
-
-    // Resume at a *different* wave (and batch) size: resume
-    // semantics are shard-granular and the payload is invariant to
-    // both knobs, so the artifact must be byte-identical.
-    const PopulationResult r2 = run(out, 1, 1, 1);
-    EXPECT_GE(r2.shardsResumed, 1u);
-    EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
-              15u * kPolicies.size());
-    const auto got = shardBytes(out, r2.manifest.shardCount());
-    for (std::size_t s = 0; s < want.size(); ++s)
-        EXPECT_EQ(want[s], got[s]) << "shard " << s;
-    EXPECT_TRUE(persist::isV3CampaignDir(out));
-
-    // And the mirror image: kill a cell-major run, resume waved.
-    const std::string out2 = path("v3b");
-    {
-        test::FaultInjector fi("population.cell", 13);
-        EXPECT_THROW(run(out2, 1, 32, 1), test::InjectedFault);
-    }
-    const PopulationResult r3 = run(out2, 1, 32, 8);
-    EXPECT_GE(r3.shardsResumed, 1u);
-    const auto got2 = shardBytes(out2, r3.manifest.shardCount());
-    for (std::size_t s = 0; s < want.size(); ++s)
-        EXPECT_EQ(want[s], got2[s]) << "shard " << s;
-}
-
 TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
 {
     const std::string ref = path("ref");
@@ -571,6 +378,33 @@ TEST_F(BatchCampaign, KillMidBatchResumesToIdenticalArtifact)
     for (std::size_t s = 0; s < want.size(); ++s)
         EXPECT_EQ(want[s], got[s]) << "shard " << s;
     EXPECT_TRUE(persist::isV3CampaignDir(out));
+}
+
+TEST_F(BatchCampaign, RecordsPerCellLatencyAndResumedCells)
+{
+    // The batched engine is the default path: its cells must show
+    // up in sim.badco.cells / sim.badco.cell_ns like the serial
+    // engine's, and a resume pass in population.cells_resumed.
+    const std::uint64_t cells = 15u * kPolicies.size();
+    obs::enableMetrics();
+    obs::Counter &sim_cells = obs::counter("sim.badco.cells");
+    obs::LatencyHistogram &cell_ns =
+        obs::histogram("sim.badco.cell_ns");
+    obs::Counter &resumed = obs::counter("population.cells_resumed");
+    const std::uint64_t cells0 = sim_cells.value();
+    const std::uint64_t ns0 = cell_ns.count();
+    const std::uint64_t resumed0 = resumed.value();
+
+    const std::string out = path("v3");
+    run(out, 1, 32);
+    EXPECT_EQ(sim_cells.value() - cells0, cells);
+    EXPECT_EQ(cell_ns.count() - ns0, cells);
+    EXPECT_EQ(resumed.value(), resumed0);
+
+    run(out, 1, 32); // every shard resumed, nothing simulated
+    obs::enableMetrics(false);
+    EXPECT_EQ(sim_cells.value() - cells0, cells);
+    EXPECT_EQ(resumed.value() - resumed0, cells);
 }
 
 // -------------------------------------------------------------------

@@ -33,14 +33,16 @@ testSuite()
 }
 
 Campaign
-tinyCampaign()
+tinyCampaign(const std::string &artifact_dir = "")
 {
     const auto suite = testSuite();
     const WorkloadPopulation pop(2, 2); // 3 workloads
     BadcoModelStore store(CoreConfig{}, 6000, 5);
+    CampaignOptions opts;
+    opts.artifactDir = artifact_dir;
     return runBadcoCampaign(pop.enumerateAll(),
                             {PolicyKind::LRU, PolicyKind::DIP}, 2,
-                            6000, store, suite);
+                            6000, store, suite, opts);
 }
 
 } // namespace
@@ -161,13 +163,19 @@ TEST(Campaign, DetailedCampaignRuns)
 TEST(Campaign, CampaignInstrumentsMove)
 {
     // Every campaign.* instrument in the metrics catalog must move
-    // on a plain runBadcoCampaign run, so the catalog never lists a
-    // number the engine cannot produce.
+    // on runBadcoCampaign runs — a fresh one and a resume pass over
+    // its artifact — so the catalog never lists a number the engine
+    // cannot produce.
+    const auto dir = test::scratchPath("wsel_campaign_instruments");
+    std::filesystem::remove_all(dir);
     obs::enableMetrics();
     const obs::MetricsSnapshot before = obs::metricsSnapshot();
-    tinyCampaign();
+    tinyCampaign(dir.string());
+    tinyCampaign(dir.string()); // every shard resumed
+    tinyCampaign(); // a simulating pass last: the rate gauge is set
     const obs::MetricsSnapshot after = obs::metricsSnapshot();
     obs::enableMetrics(false);
+    std::filesystem::remove_all(dir);
     std::size_t seen = 0;
     for (const obs::MetricsEntry &e : after.entries) {
         if (e.name.rfind("campaign.", 0) != 0)
@@ -182,7 +190,7 @@ TEST(Campaign, CampaignInstrumentsMove)
         else
             EXPECT_GT(e.value, was) << e.name;
     }
-    EXPECT_GE(seen, 2u);
+    EXPECT_GE(seen, 3u);
 }
 
 TEST(Campaign, EmptyInputsFatal)

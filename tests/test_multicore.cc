@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,35 @@ TEST(ModelStore, DiskCacheRoundTrip)
         EXPECT_EQ(store.modelsBuilt(), 0u); // loaded, not rebuilt
         EXPECT_EQ(m.traceUops, 4000u);
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ModelStore, VanishedCacheDirDoesNotFailTheSuite)
+{
+    const auto dir = test::scratchPath("wsel_test_store_gone");
+    std::filesystem::remove_all(dir);
+    const auto suite = testSuite();
+
+    // Removed after construction: saving recreates it.
+    BadcoModelStore store(CoreConfig{}, 4000, 5, dir.string());
+    std::filesystem::remove_all(dir);
+    const auto models = store.getSuite(suite);
+    ASSERT_EQ(models.size(), suite.size());
+    EXPECT_TRUE(std::filesystem::is_directory(dir));
+    EXPECT_FALSE(std::filesystem::is_empty(dir));
+
+    // Replaced by a plain file, it cannot be recreated: the models
+    // stay in memory only and the suite still resolves.
+    BadcoModelStore blocked(CoreConfig{}, 4000, 5, dir.string());
+    std::filesystem::remove_all(dir);
+    std::ofstream(dir) << "not a directory";
+    const auto again = blocked.getSuite(suite);
+    ASSERT_EQ(again.size(), suite.size());
+    for (const BadcoModel *m : again) {
+        ASSERT_NE(m, nullptr);
+        EXPECT_EQ(m->traceUops, 4000u);
+    }
+    EXPECT_EQ(blocked.modelsBuilt(), suite.size());
     std::filesystem::remove_all(dir);
 }
 

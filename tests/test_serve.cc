@@ -55,6 +55,10 @@ using serve::LeaseOptions;
 using serve::LeaseTable;
 using serve::ShardState;
 
+/** How long a test waits for a campaign (as for a worker reap), so
+ *  a wedged campaign fails fast instead of hanging ctest. */
+constexpr std::chrono::seconds kWaitDeadline{60};
+
 // -------------------------------------------------------------------
 // LeaseTable: lifecycle edge cases, unit-tested with an injected
 // clock (no sleeps).
@@ -872,7 +876,7 @@ TEST_F(ServeDistributedTest, KilledWorkersRecoverBitwiseIdentical)
     // Two healthy workers finish the campaign.
     const pid_t w1 = spawnWorker();
     const pid_t w2 = spawnWorker();
-    const serve::StatusMsg st = client.waitFinished(id);
+    const serve::StatusMsg st = client.waitFinished(id, kWaitDeadline);
     EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
     EXPECT_EQ(st.shardsTotal, m.shardCount());
     EXPECT_EQ(st.shardsDone, m.shardCount());
@@ -906,7 +910,7 @@ TEST_F(ServeDistributedTest, OverlappingCampaignDedupsAllShards)
     serve::Client client(socket_);
     const pid_t w = spawnWorker();
     const std::uint64_t first = client.submit(spec);
-    const serve::StatusMsg st1 = client.waitFinished(first);
+    const serve::StatusMsg st1 = client.waitFinished(first, kWaitDeadline);
     ASSERT_EQ(st1.state, serve::CampaignState::Done) << st1.message;
     EXPECT_EQ(st1.shardsDeduped, 0u);
 
@@ -916,7 +920,7 @@ TEST_F(ServeDistributedTest, OverlappingCampaignDedupsAllShards)
     // Same physics, same geometry: the second campaign maps to the
     // same store directory and must recompute nothing.
     const std::uint64_t second = client.submit(spec);
-    const serve::StatusMsg st2 = client.waitFinished(second);
+    const serve::StatusMsg st2 = client.waitFinished(second, kWaitDeadline);
     EXPECT_EQ(st2.state, serve::CampaignState::Done) << st2.message;
     EXPECT_EQ(st2.dir, st1.dir);
     EXPECT_EQ(st2.shardsDone, st2.shardsTotal);
@@ -932,7 +936,7 @@ TEST_F(ServeDistributedTest, OverlappingCampaignDedupsAllShards)
     serve::CampaignSpec reseeded = spec;
     reseeded.seed = 2;
     const std::uint64_t third = client.submit(reseeded);
-    const serve::StatusMsg st3 = client.waitFinished(third);
+    const serve::StatusMsg st3 = client.waitFinished(third, kWaitDeadline);
     EXPECT_EQ(st3.state, serve::CampaignState::Done) << st3.message;
     EXPECT_NE(st3.dir, st1.dir);
     EXPECT_EQ(st3.shardsDeduped, 0u);
@@ -970,7 +974,7 @@ TEST_F(ServeDistributedTest, EscalationReleasesSuspectShardsDetailed)
     const std::uint64_t id = client.submit(spec);
     const pid_t w1 = spawnWorker();
     const pid_t w2 = spawnWorker();
-    const serve::StatusMsg st = client.waitFinished(id);
+    const serve::StatusMsg st = client.waitFinished(id, kWaitDeadline);
     EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
 
     // Read metrics while the daemon is still up: stop() drains it
@@ -1064,7 +1068,7 @@ TEST_F(ServeDistributedTest, PoisonShardQuarantinedCampaignFails)
     // A healthy worker finishes everything else; the campaign
     // completes as Failed, not wedged.
     const pid_t w = spawnWorker();
-    const serve::StatusMsg st = client.waitFinished(id);
+    const serve::StatusMsg st = client.waitFinished(id, kWaitDeadline);
     EXPECT_EQ(st.state, serve::CampaignState::Failed);
     EXPECT_NE(st.message.find("quarantined"), std::string::npos)
         << st.message;
@@ -1113,7 +1117,7 @@ TEST_F(ServeDistributedTest, StopHaltsCampaignAndKeepsPaidShards)
     // victim's died with it), so it finalizes as Stopped, keeping
     // the committed shard.
     client.stop(a);
-    const serve::StatusMsg sta = client.waitFinished(a);
+    const serve::StatusMsg sta = client.waitFinished(a, kWaitDeadline);
     EXPECT_EQ(sta.state, serve::CampaignState::Stopped)
         << sta.message;
     EXPECT_NE(sta.message.find("stopped by client"),
@@ -1129,7 +1133,7 @@ TEST_F(ServeDistributedTest, StopHaltsCampaignAndKeepsPaidShards)
     // for and completes the campaign.
     const pid_t w = spawnWorker();
     const serve::StatusMsg st =
-        client.waitFinished(client.submit(spec));
+        client.waitFinished(client.submit(spec), kWaitDeadline);
     EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
     EXPECT_EQ(st.dir, sta.dir);
     EXPECT_GE(st.shardsDeduped, 1u);
@@ -1153,7 +1157,7 @@ TEST_F(ServeDistributedTest, RestartedCoordinatorResumesFromStore)
         serve::Client client(socket_);
         const pid_t w = spawnWorker();
         const serve::StatusMsg st =
-            client.waitFinished(client.submit(spec));
+            client.waitFinished(client.submit(spec), kWaitDeadline);
         ASSERT_EQ(st.state, serve::CampaignState::Done)
             << st.message;
         campaign_dir = st.dir;
@@ -1176,7 +1180,7 @@ TEST_F(ServeDistributedTest, RestartedCoordinatorResumesFromStore)
     serve::Client client(socket_);
     const pid_t w = spawnWorker();
     const serve::StatusMsg st =
-        client.waitFinished(client.submit(spec));
+        client.waitFinished(client.submit(spec), kWaitDeadline);
     EXPECT_EQ(st.state, serve::CampaignState::Done) << st.message;
     EXPECT_EQ(st.dir, campaign_dir);
     EXPECT_EQ(st.shardsDeduped, st.shardsTotal - 1);
