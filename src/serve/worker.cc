@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -26,6 +28,49 @@ namespace
 
 /** Shard currently being simulated (-1 = none); kill-point gate. */
 std::atomic<std::int64_t> g_current_shard{-1};
+
+/**
+ * Renews one lease every @p every from its own thread until
+ * destroyed.  A single cell can outlast the lease TTL (a detailed
+ * row under a debug, sanitized build takes seconds), so a heartbeat
+ * sent between cells would let the lease expire under a live,
+ * progressing worker.  A stopped or killed process stops this
+ * thread too, so a wedged worker still loses its lease.  The
+ * caller sends no frame on @p fd while it lives.
+ */
+class LeaseHeartbeat
+{
+  public:
+    LeaseHeartbeat(int fd, std::uint64_t leaseId,
+                   std::chrono::milliseconds every)
+        : thread_([this, fd, leaseId, every] {
+              WireWriter w;
+              w.u64(leaseId);
+              std::unique_lock<std::mutex> lk(mu_);
+              while (!cv_.wait_for(lk, every, [this] { return stop_; }))
+                  (void)sendFrame(fd, MsgType::Heartbeat, w.bytes());
+          })
+    {}
+
+    ~LeaseHeartbeat()
+    {
+        {
+            std::lock_guard<std::mutex> g(mu_);
+            stop_ = true;
+        }
+        cv_.notify_one();
+        thread_.join();
+    }
+
+    LeaseHeartbeat(const LeaseHeartbeat &) = delete;
+    LeaseHeartbeat &operator=(const LeaseHeartbeat &) = delete;
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::thread thread_; ///< last: starts after the members it uses
+};
 
 struct CachedContext
 {
@@ -94,43 +139,39 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
         return true; // dedup: someone already produced it
     }
 
-    // Heartbeat from the row callback, at most every ttl/4.
-    const auto hb_interval = std::chrono::milliseconds(
-        std::max<std::uint64_t>(1, lease.ttlMs / 4));
-    auto last_hb = std::chrono::steady_clock::now();
-    const auto tick = [&] {
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last_hb < hb_interval)
-            return;
-        last_hb = now;
-        WireWriter w;
-        w.u64(lease.leaseId);
-        (void)sendFrame(fd, MsgType::Heartbeat, w.bytes());
-    };
-
     std::vector<double> payload;
-    try {
-        if (ctx.fidelity() == 0)
-            // Batch size from WSEL_BATCH_CELLS (resolver default
-            // otherwise); it never changes shard bytes, so mixed
-            // worker fleets stay coherent.
-            simulatePopulationShardBatched(
-                m, ctx.population(), ctx.uncores(), ctx.models(),
-                ctx.seed(), lease.shard, 0, 0, payload, tick);
-        else
-            simulateDetailedPopulationShard(
-                m, ctx.population(), ctx.coreConfig(),
-                ctx.uncores(), ctx.suite(), ctx.seed(),
-                lease.shard, payload, tick);
-    } catch (const std::exception &e) {
-        g_current_shard.store(-1, std::memory_order_relaxed);
-        error = std::string("shard simulation failed: ") + e.what();
-        return std::nullopt;
+    bool wrote = false;
+    {
+        // Renew the lease every ttl/4 while simulating and
+        // committing.
+        const LeaseHeartbeat heartbeat(
+            fd, lease.leaseId,
+            std::chrono::milliseconds(
+                std::max<std::uint64_t>(1, lease.ttlMs / 4)));
+        try {
+            if (ctx.fidelity() == 0)
+                // Batch size from WSEL_BATCH_CELLS (resolver
+                // default otherwise); it never changes shard
+                // bytes, so mixed worker fleets stay coherent.
+                simulatePopulationShardBatched(
+                    m, ctx.population(), ctx.uncores(),
+                    ctx.models(), ctx.seed(), lease.shard, 0, 0,
+                    payload);
+            else
+                simulateDetailedPopulationShard(
+                    m, ctx.population(), ctx.coreConfig(),
+                    ctx.uncores(), ctx.suite(), ctx.seed(),
+                    lease.shard, payload);
+        } catch (const std::exception &e) {
+            g_current_shard.store(-1, std::memory_order_relaxed);
+            error =
+                std::string("shard simulation failed: ") + e.what();
+            return std::nullopt;
+        }
+        wrote = ResultStore::commitShard(
+            lease.dir, m, lease.shard,
+            {payload.data(), payload.size()});
     }
-
-    const bool wrote =
-        ResultStore::commitShard(lease.dir, m, lease.shard,
-                                 {payload.data(), payload.size()});
     persist::faultPoint("serve.shard-committed");
     g_current_shard.store(-1, std::memory_order_relaxed);
     return !wrote; // a lost commit race is a dedup, same as above

@@ -19,9 +19,10 @@
  *         zombie-completion window)
  *     WSEL_KILL_SHARD=3   only count hits while holding shard 3
  *
- * Heartbeats ride the row callback of simulatePopulationShard,
- * rate-limited to ttl/4 so a long shard cannot expire its own
- * lease while making steady progress.
+ * A heartbeat thread renews the lease every ttl/4 while a shard
+ * simulates and commits, so a cell slower than the TTL cannot
+ * expire its own lease; a stopped or killed worker stops
+ * heartbeating and loses the lease.
  */
 
 #ifndef WSEL_SERVE_WORKER_HH

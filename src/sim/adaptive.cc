@@ -88,16 +88,7 @@ approxPerBenchmarkIpcs(const WorkloadPopulation &pop,
         ipc[p][b] = sum / static_cast<double>(k);
     };
 
-    const std::size_t cells = np * nb;
-    const std::size_t workers = std::min<std::size_t>(
-        exec::resolveJobs(jobs), cells);
-    if (workers > 1) {
-        exec::ThreadPool pool(workers);
-        exec::parallel_for(pool, std::size_t{0}, cells, run_cell);
-    } else {
-        for (std::size_t i = 0; i < cells; ++i)
-            run_cell(i);
-    }
+    exec::parallel_for(jobs, std::size_t{0}, np * nb, run_cell);
     return ipc;
 }
 
@@ -321,17 +312,9 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
                                                        t[1]);
                 }
             };
-            const std::size_t workers = std::min<std::size_t>(
-                jobs, static_cast<std::size_t>(groups));
-            if (workers > 1) {
-                exec::ThreadPool pool(workers);
-                exec::parallel_for(pool, std::size_t{0},
-                                   static_cast<std::size_t>(groups),
-                                   run_group);
-            } else {
-                for (std::uint64_t g = 0; g < groups; ++g)
-                    run_group(static_cast<std::size_t>(g));
-            }
+            exec::parallel_for(jobs, std::size_t{0},
+                               static_cast<std::size_t>(groups),
+                               run_group);
             persist::writeAdaptiveBatch(out_dir, batch);
         }
 

@@ -398,19 +398,10 @@ runDetailedCampaign(const WorkloadSet &workloads,
     // the profile, so the build order across the suite is free.
     {
         TraceStore &ts = TraceStore::global();
-        const unsigned jobs = exec::resolveJobs(opts.jobs);
-        if (jobs <= 1 || suite.size() <= 1) {
-            for (const BenchmarkProfile &p : suite)
-                ts.ensureBuilt(p, target_uops);
-        } else {
-            exec::ThreadPool pool(std::min<std::size_t>(
-                jobs, suite.size()));
-            exec::parallel_for(pool, 0, suite.size(),
-                               [&](std::size_t i) {
-                                   ts.ensureBuilt(suite[i],
-                                                  target_uops);
-                               });
-        }
+        exec::parallel_for(opts.jobs, 0, suite.size(),
+                           [&](std::size_t i) {
+                               ts.ensureBuilt(suite[i], target_uops);
+                           });
     }
 
     {

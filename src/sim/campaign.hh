@@ -21,9 +21,9 @@
  *
  * Every cell is seeded independently by campaignCellSeed, and a
  * shard's rows depend only on the row count, so with
- * CampaignOptions::jobs > 1 the shards run on the exec/
- * work-stealing pool and the IPC matrix is bitwise identical to a
- * serial run (docs/PARALLELISM.md).
+ * CampaignOptions::jobs > 1 the shards run on the exec/ pool and
+ * the IPC matrix is bitwise identical to a serial run
+ * (docs/PARALLELISM.md).
  */
 
 #ifndef WSEL_SIM_CAMPAIGN_HH
@@ -386,7 +386,7 @@ struct CampaignOptions
      * Worker threads simulating shards.  1 (the default) runs the
      * shards serially on the calling thread; 0 asks for
      * exec::defaultJobs() ($WSEL_JOBS, else the hardware
-     * concurrency); N > 1 uses a work-stealing pool of N threads.
+     * concurrency); N > 1 uses an exec/ pool of N workers.
      * The IPC matrix is bitwise independent of this setting
      * (docs/PARALLELISM.md).
      */

@@ -66,8 +66,8 @@ BenchmarkFeatures characterizeBenchmark(
  * Characterize a whole suite (suite order preserved).  Each
  * benchmark runs with the same @p seed, so the result does not
  * depend on @p jobs; with jobs != 1 the benchmarks run
- * concurrently on the exec/ work-stealing pool (0 asks for
- * exec::defaultJobs()).
+ * concurrently on an exec/ pool of at most one worker per
+ * benchmark (0 asks for exec::defaultJobs()).
  */
 std::vector<BenchmarkFeatures> characterizeSuite(
     const std::vector<BenchmarkProfile> &suite,

@@ -160,15 +160,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                                     {row + k, k});
             }
         };
-        if (jobs <= 1 || shards <= 1) {
-            for (std::uint64_t s = 0; s < shards; ++s)
-                scan_shard(s);
-        } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, shards));
-            exec::parallel_for(pool, std::size_t{0}, shards,
-                               scan_shard);
-        }
+        exec::parallel_for(jobs, std::size_t{0}, shards, scan_shard);
     }
 
     fidelity::EscalationRecord rec;
@@ -236,18 +228,10 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
     if (esc_n > 0) {
         obs::Span dspan("fidelity.detailed");
         TraceStore &ts = TraceStore::global();
-        if (jobs <= 1 || suite.size() <= 1) {
-            for (const BenchmarkProfile &p : suite)
-                ts.ensureBuilt(p, target_uops);
-        } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, suite.size()));
-            exec::parallel_for(pool, std::size_t{0}, suite.size(),
-                               [&](std::size_t i) {
-                                   ts.ensureBuilt(suite[i],
-                                                  target_uops);
-                               });
-        }
+        exec::parallel_for(jobs, std::size_t{0}, suite.size(),
+                           [&](std::size_t i) {
+                               ts.ensureBuilt(suite[i], target_uops);
+                           });
         std::vector<UncoreConfig> ucfgs;
         ucfgs.reserve(np);
         for (PolicyKind p : policies)
@@ -348,15 +332,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 logLine(os.str());
             }
         };
-        if (jobs <= 1 || batches <= 1) {
-            for (std::uint64_t b = 0; b < batches; ++b)
-                run_batch(b);
-        } else {
-            exec::ThreadPool pool(
-                std::min<std::size_t>(jobs, batches));
-            exec::parallel_for(pool, std::size_t{0}, batches,
-                               run_batch);
-        }
+        exec::parallel_for(jobs, std::size_t{0}, batches, run_batch);
         for (std::uint64_t b = 0; b < batches; ++b) {
             result.detailedCellsSimulated += simulated[b];
             result.detailedCellsResumed += resumed[b];

@@ -123,8 +123,7 @@ simulatePopulationShard(const persist::V3Manifest &m,
                         const std::vector<UncoreConfig> &ucfgs,
                         const std::vector<const BadcoModel *> &models,
                         std::uint64_t base_seed, std::uint64_t shard,
-                        std::vector<double> &payload,
-                        const std::function<void()> &tick)
+                        std::vector<double> &payload)
 {
     checkUncoreConfigs(m, ucfgs);
     const std::size_t np = m.policies.size();
@@ -135,8 +134,6 @@ simulatePopulationShard(const persist::V3Manifest &m,
         m, pop, shard,
         [&](std::uint64_t r, std::uint64_t pos,
             std::span<const std::uint32_t> benches) {
-            if (tick)
-                tick();
             double *row = payload.data() + r * np * k;
             for (std::size_t p = 0; p < np; ++p) {
                 persist::faultPoint("population.cell");
@@ -158,8 +155,7 @@ simulatePopulationShardBatched(
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t /*batch_wave*/,
-    std::vector<double> &payload,
-    const std::function<void()> &tick)
+    std::vector<double> &payload)
 {
     checkUncoreConfigs(m, ucfgs);
     const std::size_t np = m.policies.size();
@@ -173,8 +169,6 @@ simulatePopulationShardBatched(
         m, pop, shard,
         [&](std::uint64_t r, std::uint64_t pos,
             std::span<const std::uint32_t> benches) {
-            if (tick)
-                tick();
             double *row = payload.data() + r * np * k;
             for (std::size_t p = 0; p < np; ++p) {
                 persist::faultPoint("population.cell");
@@ -194,8 +188,7 @@ simulateDetailedPopulationShard(
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<BenchmarkProfile> &suite,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::vector<double> &payload,
-    const std::function<void()> &tick)
+    std::vector<double> &payload)
 {
     checkUncoreConfigs(m, ucfgs);
     const std::size_t np = m.policies.size();
@@ -206,8 +199,6 @@ simulateDetailedPopulationShard(
         m, pop, shard,
         [&](std::uint64_t r, std::uint64_t pos,
             std::span<const std::uint32_t> benches) {
-            if (tick)
-                tick();
             const Workload w{std::vector<std::uint32_t>(
                 benches.begin(), benches.end())};
             // Pin the row's trace chunks once: all np x k cursors of
@@ -325,14 +316,7 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
         }
     };
 
-    const std::size_t threads = exec::resolveJobs(jobs);
-    if (threads <= 1 || shards <= 1) {
-        for (std::uint64_t s = 0; s < shards; ++s)
-            run_shard(s);
-    } else {
-        exec::ThreadPool pool(std::min<std::size_t>(threads, shards));
-        exec::parallel_for(pool, std::size_t{0}, shards, run_shard);
-    }
+    exec::parallel_for(jobs, std::size_t{0}, shards, run_shard);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -349,7 +333,9 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
             st.simSeconds += outcomes[s].wall;
         }
     }
-    if (obs::metricsEnabled() && wall > 0.0)
+    // A pass that resumed every shard measured no rate: keep the
+    // last real one.
+    if (obs::metricsEnabled() && wall > 0.0 && st.cellsSimulated > 0)
         obs::gauge(runner + ".cells_per_sec")
             .set(static_cast<double>(st.cellsSimulated) / wall);
     return st;

@@ -169,9 +169,7 @@ struct PopulationResult
  * produces bitwise-identical bytes.
  *
  * @p ucfgs must hold one UncoreConfig per manifest policy (in
- * order) and @p models one BADCO model per suite benchmark.
- * @p tick, when set, is invoked once per workload row — the
- * distributed worker sends lease heartbeats from it.  The
+ * order) and @p models one BADCO model per suite benchmark.  The
  * "population.cell" fault point fires once per simulated cell
  * (tests/fault_injection.hh; the worker binary can arm it to
  * SIGKILL itself mid-shard).
@@ -181,8 +179,7 @@ void simulatePopulationShard(
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::vector<double> &payload);
 
 /**
  * Batched variant of simulatePopulationShard: identical contract
@@ -203,8 +200,7 @@ void simulatePopulationShardBatched(
     const std::vector<const BadcoModel *> &models,
     std::uint64_t base_seed, std::uint64_t shard,
     std::uint32_t batch_cells, std::uint32_t batch_wave,
-    std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::vector<double> &payload);
 
 /**
  * Detailed-fidelity twin of simulatePopulationShard: the same
@@ -221,8 +217,7 @@ void simulateDetailedPopulationShard(
     const std::vector<UncoreConfig> &ucfgs,
     const std::vector<BenchmarkProfile> &suite,
     std::uint64_t base_seed, std::uint64_t shard,
-    std::vector<double> &payload,
-    const std::function<void()> &tick = {});
+    std::vector<double> &payload);
 
 /** What one pass of runV3Shards did. */
 struct ShardLoopStats

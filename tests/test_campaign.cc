@@ -163,16 +163,18 @@ TEST(Campaign, DetailedCampaignRuns)
 TEST(Campaign, CampaignInstrumentsMove)
 {
     // Every campaign.* instrument in the metrics catalog must move
-    // on runBadcoCampaign runs — a fresh one and a resume pass over
-    // its artifact — so the catalog never lists a number the engine
-    // cannot produce.
+    // on runBadcoCampaign runs — a fresh one, a plain one and a
+    // resume pass over the first one's artifact — so the catalog
+    // never lists a number the engine cannot produce.  The resume
+    // pass runs last: it simulates nothing, so it must leave the
+    // rate gauge at the last measured rate, not reset it to 0.
     const auto dir = test::scratchPath("wsel_campaign_instruments");
     std::filesystem::remove_all(dir);
     obs::enableMetrics();
     const obs::MetricsSnapshot before = obs::metricsSnapshot();
     tinyCampaign(dir.string());
+    tinyCampaign();
     tinyCampaign(dir.string()); // every shard resumed
-    tinyCampaign(); // a simulating pass last: the rate gauge is set
     const obs::MetricsSnapshot after = obs::metricsSnapshot();
     obs::enableMetrics(false);
     std::filesystem::remove_all(dir);

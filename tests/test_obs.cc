@@ -387,10 +387,8 @@ TEST(ObsScheduler, PoolStatsReachRegistry)
     std::atomic<std::size_t> executed{0};
     {
         exec::ThreadPool pool(4);
-        exec::TaskGroup group(pool);
-        for (std::size_t i = 0; i < kTasks; ++i)
-            group.run([&executed] { ++executed; });
-        group.wait();
+        exec::parallel_for(pool, std::size_t{0}, kTasks,
+                           [&executed](std::size_t) { ++executed; });
     }
     EXPECT_EQ(executed.load(), kTasks);
     EXPECT_EQ(run.value() - before, kTasks);

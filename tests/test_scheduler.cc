@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the exec/ work-stealing scheduler: work
- * distribution under skewed task costs, exception propagation and
- * group cancellation, deadlock-free nesting, TaskGraph ordering,
- * SchedulerStats consistency, and the WSEL_JOBS resolution rules.
+ * Unit tests for the exec/ shared-index pool: bitwise serial
+ * equivalence, inline execution at one worker, exactly-once claims
+ * under skewed costs, progress when an index blocks on a later
+ * one, first-error cancellation, deadlock-free nesting, the jobs
+ * overload of parallel_for, the scheduler.* metrics, and the
+ * WSEL_JOBS resolution rules.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -20,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/scheduler.hh"
-#include "stats/logging.hh"
+#include "obs/metrics.hh"
 
 namespace wsel
 {
@@ -28,10 +29,20 @@ namespace wsel
 namespace
 {
 
-using exec::SchedulerStats;
-using exec::TaskGraph;
-using exec::TaskGroup;
 using exec::ThreadPool;
+
+/** Metrics on for one test, off again after it. */
+struct MetricsOn
+{
+    MetricsOn() { obs::enableMetrics(); }
+    ~MetricsOn() { obs::enableMetrics(false); }
+};
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::counter(name).value();
+}
 
 TEST(Scheduler, ResolveJobsAndWselJobsEnv)
 {
@@ -61,7 +72,6 @@ TEST(Scheduler, PoolHasRequestedThreadCount)
 {
     ThreadPool pool(3);
     EXPECT_EQ(pool.threads(), 3u);
-    EXPECT_EQ(pool.stats().threads, 3u);
 }
 
 TEST(Scheduler, ParallelForMatchesSerialBitwise)
@@ -91,61 +101,69 @@ TEST(Scheduler, ParallelForMatchesSerialBitwise)
     for (std::size_t i = 0; i < n; ++i)
         s2 += parallel[i];
     EXPECT_EQ(s1, s2);
+
+    // Chunked claims (grain > 1) cover the range exactly once.
+    std::vector<int> hits(n, 0);
+    exec::parallel_for(
+        pool, std::size_t{3}, n, [&](std::size_t i) { ++hits[i]; },
+        10);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i], i < 3 ? 0 : 1) << "index " << i;
 }
 
 TEST(Scheduler, SingleWorkerPoolRunsInlineInOrder)
 {
+    MetricsOn on;
+    const std::uint64_t before = counterValue("scheduler.tasks_run");
     ThreadPool pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
     exec::parallel_for(pool, std::size_t{0}, std::size_t{16},
-                       [&](std::size_t i) { order.push_back(i); });
+                       [&](std::size_t i) {
+                           EXPECT_EQ(std::this_thread::get_id(),
+                                     caller);
+                           order.push_back(i);
+                       });
     ASSERT_EQ(order.size(), 16u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
     // Inline execution generates no pool traffic at all.
-    EXPECT_EQ(pool.stats().tasksRun, 0u);
+    EXPECT_EQ(counterValue("scheduler.tasks_run"), before);
 }
 
-TEST(Scheduler, WorkStealingUnderSkewedCosts)
+TEST(Scheduler, BlockedIndexDoesNotStallLaterOnes)
 {
-    // External submissions round-robin across the two workers'
-    // deques: blocker -> deque 0, filler -> deque 1, setter ->
-    // deque 0.  Worker 0 drains its own deque in FIFO order, so it
-    // claims the blocker first and parks in it; the setter behind
-    // it can then only run on another thread (worker 1 stealing
-    // from deque 0's back, or the waiter helping).  Group
-    // completion therefore proves a steal or a help happened.
+    // Index 0 parks until index 2 has run.  Whichever of the two
+    // workers (the pool thread or the caller) claims index 0, the
+    // other one must go on claiming 1 and 2 from the shared cursor,
+    // so the loop completes; a scheduler that tied later indices
+    // to the blocked thread would hang here.
     ThreadPool pool(2);
     std::mutex mu;
     std::condition_variable cv;
     bool set = false;
     std::atomic<int> ran{0};
-    {
-        TaskGroup group(pool);
-        group.run([&] {
-            std::unique_lock<std::mutex> lk(mu);
-            cv.wait(lk, [&] { return set; });
-            ++ran;
-        });
-        group.run([&] { ++ran; });
-        group.run([&] {
-            {
-                std::lock_guard<std::mutex> g(mu);
-                set = true;
-            }
-            cv.notify_all();
-            ++ran;
-        });
-        group.wait();
-    }
+    exec::parallel_for(pool, std::size_t{0}, std::size_t{3},
+                       [&](std::size_t i) {
+                           if (i == 0) {
+                               std::unique_lock<std::mutex> lk(mu);
+                               cv.wait(lk, [&] { return set; });
+                           } else if (i == 2) {
+                               {
+                                   std::lock_guard<std::mutex> g(mu);
+                                   set = true;
+                               }
+                               cv.notify_all();
+                           }
+                           ++ran;
+                       });
     EXPECT_EQ(ran.load(), 3);
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.tasksRun, 3u);
-    EXPECT_GE(st.tasksStolen + st.tasksHelped, 1u);
 }
 
 TEST(Scheduler, SkewedParallelForRunsEveryIndexOnce)
 {
+    MetricsOn on;
+    const std::uint64_t before = counterValue("scheduler.tasks_run");
     ThreadPool pool(4);
     const std::size_t n = 64;
     std::vector<std::atomic<int>> hits(n);
@@ -160,27 +178,37 @@ TEST(Scheduler, SkewedParallelForRunsEveryIndexOnce)
     });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    EXPECT_EQ(pool.stats().tasksRun, n);
+    EXPECT_EQ(counterValue("scheduler.tasks_run") - before, n);
 }
 
 TEST(Scheduler, ExceptionCancelsOutstandingTasks)
 {
+    MetricsOn on;
+    const std::uint64_t run0 = counterValue("scheduler.tasks_run");
+    const std::uint64_t cancelled0 =
+        counterValue("scheduler.tasks_cancelled");
     ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    group.run([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_TRUE(group.cancelled());
+    const std::size_t n = 64;
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(
+        exec::parallel_for(pool, std::size_t{0}, n,
+                           [&](std::size_t i) {
+                               ++ran;
+                               if (i == 0)
+                                   throw std::runtime_error("failed");
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(2));
+                           }),
+        std::runtime_error);
+    // Every index either ran or was skipped, never both: the
+    // unclaimed tail after the failure is counted as cancelled.
+    const std::uint64_t cancelled =
+        counterValue("scheduler.tasks_cancelled") - cancelled0;
+    EXPECT_EQ(counterValue("scheduler.tasks_run") - run0, ran.load());
+    EXPECT_EQ(ran.load() + cancelled, n);
+    EXPECT_GE(cancelled, 1u);
 
-    // Everything submitted after the failure is deterministically
-    // skipped: the group is already cancelled.
-    for (int i = 0; i < 10; ++i)
-        group.run([&] { ++ran; });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 0);
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.tasksCancelled, 10u);
-    // The pool survives a failed group and stays usable.
+    // The pool survives a failed loop and stays usable.
     std::atomic<int> after{0};
     exec::parallel_for(pool, std::size_t{0}, std::size_t{8},
                        [&](std::size_t) { ++after; });
@@ -197,13 +225,25 @@ TEST(Scheduler, ParallelForRethrowsFirstError)
                                    throw std::runtime_error("boom");
                            }),
         std::runtime_error);
+    // Two failing indices still surface exactly one error.
+    try {
+        exec::parallel_for(pool, std::size_t{0}, std::size_t{100},
+                           [&](std::size_t i) {
+                               if (i == 3 || i == 4)
+                                   throw std::runtime_error("boom");
+                           });
+        FAIL() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom");
+    }
 }
 
 TEST(Scheduler, NestedParallelForDoesNotDeadlock)
 {
-    // Outer tasks block in the inner wait; they make progress by
-    // helping execute inner tasks.  A lost wakeup or a worker
-    // parked forever shows up here as a test timeout.
+    // Outer indices block in the inner loop's wait, which only
+    // waits for inner indices already running elsewhere.  A lost
+    // wakeup or a worker parked forever shows up here as a test
+    // timeout.
     for (const std::size_t threads : {1, 2, 4}) {
         ThreadPool pool(threads);
         const std::size_t n = 8;
@@ -224,89 +264,58 @@ TEST(Scheduler, NestedParallelForDoesNotDeadlock)
     }
 }
 
+TEST(Scheduler, JobsOverloadRunsInlineWhenOneWorkerSuffices)
+{
+    MetricsOn on;
+    const std::uint64_t before = counterValue("scheduler.tasks_run");
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    auto record = [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    };
+    exec::parallel_for(1, std::size_t{0}, std::size_t{12}, record);
+    exec::parallel_for(8, std::size_t{5}, std::size_t{6}, record);
+    exec::parallel_for(8, std::size_t{6}, std::size_t{6}, record);
+    const std::vector<std::size_t> want = {0, 1, 2, 3, 4,  5,
+                                           6, 7, 8, 9, 10, 11, 5};
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(counterValue("scheduler.tasks_run"), before);
+
+    // More than one index and more than one job: a real pool.
+    std::vector<std::atomic<int>> hits(10);
+    for (auto &h : hits)
+        h.store(0);
+    exec::parallel_for(4, std::size_t{0}, hits.size(),
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(counterValue("scheduler.tasks_run") - before,
+              hits.size());
+}
+
 TEST(Scheduler, StatsAreInternallyConsistent)
 {
+    MetricsOn on;
+    obs::LatencyHistogram &queue = obs::histogram("scheduler.queue_ns");
+    obs::LatencyHistogram &run = obs::histogram("scheduler.run_ns");
+    const std::uint64_t run0 = counterValue("scheduler.tasks_run");
+    const std::uint64_t cancelled0 =
+        counterValue("scheduler.tasks_cancelled");
+    const std::uint64_t queued0 = queue.count();
+    const std::uint64_t timed0 = run.count();
     ThreadPool pool(4);
     const std::size_t n = 100;
     std::atomic<int> ran{0};
     exec::parallel_for(pool, std::size_t{0}, n,
                        [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran.load(), static_cast<int>(n));
-    const SchedulerStats st = pool.stats();
-    EXPECT_EQ(st.threads, 4u);
-    EXPECT_EQ(st.tasksRun, n);
-    EXPECT_EQ(st.tasksCancelled, 0u);
-    EXPECT_LE(st.tasksStolen + st.tasksHelped, st.tasksRun);
-    EXPECT_GE(st.queueSeconds, 0.0);
-    EXPECT_GE(st.runSeconds, 0.0);
-    EXPECT_LE(st.maxQueueSeconds, st.queueSeconds + 1e-12);
-    EXPECT_LE(st.maxRunSeconds, st.runSeconds + 1e-12);
-}
-
-TEST(TaskGraphTest, DiamondRespectsDependencies)
-{
-    ThreadPool pool(2);
-    TaskGraph graph(pool);
-    std::mutex mu;
-    std::vector<char> order;
-    auto record = [&](char c) {
-        return [&, c] {
-            std::lock_guard<std::mutex> g(mu);
-            order.push_back(c);
-        };
-    };
-    const auto a = graph.add(record('a'));
-    const auto b = graph.add(record('b'), {a});
-    const auto c = graph.add(record('c'), {a});
-    graph.add(record('d'), {b, c});
-    graph.run();
-
-    ASSERT_EQ(order.size(), 4u);
-    auto pos = [&](char c) {
-        return std::find(order.begin(), order.end(), c) -
-               order.begin();
-    };
-    EXPECT_EQ(pos('a'), 0);
-    EXPECT_EQ(pos('d'), 3);
-    EXPECT_LT(pos('a'), pos('b'));
-    EXPECT_LT(pos('a'), pos('c'));
-    EXPECT_LT(pos('b'), pos('d'));
-    EXPECT_LT(pos('c'), pos('d'));
-}
-
-TEST(TaskGraphTest, ErrorInNodeCancelsDependents)
-{
-    ThreadPool pool(2);
-    TaskGraph graph(pool);
-    std::atomic<int> ran{0};
-    const auto a =
-        graph.add([] { throw std::runtime_error("node failed"); });
-    graph.add([&] { ++ran; }, {a});
-    graph.add([&] { ++ran; }, {a});
-    EXPECT_THROW(graph.run(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskGraphTest, ForwardOrSelfDependencyIsFatal)
-{
-    ThreadPool pool(1);
-    TaskGraph graph(pool);
-    // Dependencies must name earlier nodes: the graph is a DAG by
-    // construction, so a cycle cannot even be expressed.
-    EXPECT_THROW(graph.add([] {}, {0}), FatalError);
-    const auto a = graph.add([] {});
-    EXPECT_THROW(graph.add([] {}, {a + 1}), FatalError);
-}
-
-TEST(TaskGraphTest, IndependentNodesAllRun)
-{
-    ThreadPool pool(4);
-    TaskGraph graph(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i)
-        graph.add([&] { ++ran; });
-    graph.run();
-    EXPECT_EQ(ran.load(), 32);
+    EXPECT_EQ(counterValue("scheduler.tasks_run") - run0, n);
+    EXPECT_EQ(counterValue("scheduler.tasks_cancelled"), cancelled0);
+    EXPECT_EQ(queue.count() - queued0, n);
+    EXPECT_EQ(run.count() - timed0, n);
+    EXPECT_LE(queue.maxNs(), queue.sumNs());
+    EXPECT_LE(run.maxNs(), run.sumNs());
 }
 
 } // namespace

@@ -7,7 +7,10 @@
 # memory and UB errors in the persistence / fault-injection paths
 # and data races in the exec/ scheduler and in src/obs/ (the tsan
 # test preset runs the scheduler, parallel-campaign determinism,
-# and observability suites under ThreadSanitizer).
+# and observability suites under ThreadSanitizer, and the tsan leg
+# then repeats the Scheduler tests 20 times, --repeat
+# until-fail:20, to shake out lost wake-ups and cancel races in the
+# shared-index pool).
 #
 # After the release preset passes, a 2-core smoke campaign archives
 # sample observability artifacts (metrics.json and trace.json,
@@ -77,6 +80,16 @@ for preset in $presets; do
         ctest --test-dir "$bindir" --output-on-failure \
             -j "$(nproc 2>/dev/null || echo 4)" \
             --repeat until-fail:3
+    fi
+
+    if [ "$preset" = "tsan" ]; then
+        # The scheduler tests 20 more times under ThreadSanitizer:
+        # which thread claims which index changes from run to run,
+        # so a lost wake-up or a race on the cancel path may only
+        # show on some runs.
+        echo "==> repeated scheduler test: $preset"
+        ctest --test-dir "$bindir" --output-on-failure \
+            -R '^Scheduler\.' --repeat until-fail:20
     fi
 
     if [ "$preset" = "asan-ubsan" ] || [ "$preset" = "tsan" ]; then
