@@ -120,6 +120,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"campaign.cells", 'c'},
     {"campaign.cells_resumed", 'c'},
     {"campaign.cells_per_sec", 'g'},
+    {"campaign.progress", 'g'},
     {"persist.cache_hit", 'c'},
     {"persist.cache_miss", 'c'},
     {"persist.cache_quarantine", 'c'},
@@ -143,6 +144,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"population.shards_written", 'c'},
     {"population.bytes", 'c'},
     {"population.cells_per_sec", 'g'},
+    {"population.progress", 'g'},
     {"population.shard_write_ns", 'h'},
     {"serve.campaigns_submitted", 'c'},
     {"serve.campaigns_rejected", 'c'},

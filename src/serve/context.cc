@@ -81,13 +81,13 @@ CampaignContext::CampaignContext(const CampaignSpec &spec,
         models_ = store_->getSuite(suite_, jobs);
         const BadcoMulticoreSim ref_sim(ref, 1, spec.targetUops,
                                         seed_);
-        m_.refIpc = ref_sim.referenceIpcs(models_);
+        m_.refIpc = ref_sim.referenceIpcs(models_, jobs);
     } else {
         // Detailed fidelity: no models; references come from the
         // cycle-level simulator (as runDetailedCampaign does).
         const DetailedMulticoreSim ref_sim(coreCfg_, ref, 1,
                                            spec.targetUops, seed_);
-        m_.refIpc = ref_sim.referenceIpcs(suite_);
+        m_.refIpc = ref_sim.referenceIpcs(suite_, jobs);
     }
 
     geomHash_ =

@@ -165,7 +165,7 @@ runAdaptiveCampaign(const WorkloadPopulation &pop, PolicyKind x,
     {
         UncoreConfig ref = UncoreConfig::forCores(k, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        ref_ipc = ref_sim.referenceIpcs(models);
+        ref_ipc = ref_sim.referenceIpcs(models, jobs);
     }
 
     std::error_code ec;

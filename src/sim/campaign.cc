@@ -182,10 +182,10 @@ uncoreConfigs(std::uint32_t cores, const std::vector<PolicyKind> &policies)
     return ucfgs;
 }
 
-using ShardSimulator =
-    std::function<void(const persist::V3Manifest &,
-                       const WorkloadPopulation &, std::uint64_t,
-                       std::vector<double> &)>;
+/** Simulate rows [begin, end) of a shard into its payload slice. */
+using RowSimulator = std::function<void(
+    const persist::V3Manifest &, const WorkloadPopulation &,
+    std::uint64_t, std::uint64_t, std::uint64_t, std::span<double>)>;
 
 /**
  * Run (or resume) @p c's shards through the shared shard loop into
@@ -193,7 +193,7 @@ using ShardSimulator =
  */
 void
 runCampaignShards(Campaign &c, const CampaignOptions &opts,
-                  const ShardSimulator &simulate)
+                  const RowSimulator &simulate)
 {
     persist::V3Manifest m = manifestFor(c);
     const WorkloadPopulation pop(m.popBenchmarks, m.popCores);
@@ -201,8 +201,9 @@ runCampaignShards(Campaign &c, const CampaignOptions &opts,
     c.ipc.reshape(c.policies.size(), c.workloads.size(), c.cores);
     const ShardLoopStats st = runV3Shards(
         m, dir, opts.jobs, opts.verbose, "campaign",
-        [&](std::uint64_t s, std::vector<double> &payload) {
-            simulate(m, pop, s, payload);
+        [&](std::uint64_t s, std::uint64_t row_begin,
+            std::uint64_t row_end, std::span<double> out) {
+            simulate(m, pop, s, row_begin, row_end, out);
         },
         [&](std::uint64_t s, std::span<const double> payload) {
             scatterShard(c.ipc, m, s, payload);
@@ -365,17 +366,17 @@ runBadcoCampaign(const WorkloadSet &workloads,
         UncoreConfig ref =
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        c.refIpc = ref_sim.referenceIpcs(models);
+        c.refIpc = ref_sim.referenceIpcs(models, opts.jobs);
     }
     const std::vector<UncoreConfig> ucfgs =
         uncoreConfigs(cores, policies);
     runCampaignShards(
         c, opts,
         [&](const persist::V3Manifest &m, const WorkloadPopulation &pop,
-            std::uint64_t s, std::vector<double> &payload) {
-            simulatePopulationShardBatched(m, pop, ucfgs, models,
-                                           opts.seed, s, 0, 0,
-                                           payload);
+            std::uint64_t s, std::uint64_t row_begin,
+            std::uint64_t row_end, std::span<double> out) {
+            simulatePopulationRows(m, pop, ucfgs, models, opts.seed,
+                                   s, row_begin, row_end, 0, out);
         });
     return c;
 }
@@ -409,17 +410,18 @@ runDetailedCampaign(const WorkloadSet &workloads,
             UncoreConfig::forCores(cores, PolicyKind::LRU);
         DetailedMulticoreSim ref_sim(core_cfg, ref, 1, target_uops,
                                      opts.seed);
-        c.refIpc = ref_sim.referenceIpcs(suite);
+        c.refIpc = ref_sim.referenceIpcs(suite, opts.jobs);
     }
     const std::vector<UncoreConfig> ucfgs =
         uncoreConfigs(cores, policies);
     runCampaignShards(
         c, opts,
         [&](const persist::V3Manifest &m, const WorkloadPopulation &pop,
-            std::uint64_t s, std::vector<double> &payload) {
-            simulateDetailedPopulationShard(m, pop, core_cfg, ucfgs,
-                                            suite, opts.seed, s,
-                                            payload);
+            std::uint64_t s, std::uint64_t row_begin,
+            std::uint64_t row_end, std::span<double> out) {
+            simulateDetailedPopulationRows(m, pop, core_cfg, ucfgs,
+                                           suite, opts.seed, s,
+                                           row_begin, row_end, out);
         });
     return c;
 }

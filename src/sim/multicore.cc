@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "cpu/detailed_core.hh"
+#include "exec/scheduler.hh"
 #include "badco/badco_machine.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -124,17 +125,18 @@ DetailedMulticoreSim::run(
 
 std::vector<double>
 DetailedMulticoreSim::referenceIpcs(
-    const std::vector<BenchmarkProfile> &suite) const
+    const std::vector<BenchmarkProfile> &suite, std::size_t jobs) const
 {
     // The reference machine: the same uncore with the baseline LRU
     // policy, running the benchmark alone.
     UncoreConfig ref_cfg = uncoreCfg_;
     ref_cfg.policy = PolicyKind::LRU;
-    std::vector<double> refs;
-    refs.reserve(suite.size());
-    for (const BenchmarkProfile &p : suite) {
+    std::vector<double> refs(suite.size());
+    exec::parallel_for(jobs, std::size_t{0}, suite.size(),
+                       [&](std::size_t b) {
         Uncore uncore(ref_cfg, 1, seed_);
-        DetailedCore core(coreCfg_, TraceStore::global().cursor(p),
+        DetailedCore core(coreCfg_,
+                          TraceStore::global().cursor(suite[b]),
                           uncore, 0, targetUops_, seed_ + 0x51);
         std::uint64_t now = 0;
         while (!core.reachedTarget()) {
@@ -143,8 +145,8 @@ DetailedMulticoreSim::referenceIpcs(
             now = std::max(now + 1,
                            next == UINT64_MAX ? now + 1 : next);
         }
-        refs.push_back(core.ipc());
-    }
+        refs[b] = core.ipc();
+    });
     return refs;
 }
 
@@ -261,22 +263,25 @@ BadcoMulticoreSim::run(
 
 std::vector<double>
 BadcoMulticoreSim::referenceIpcs(
-    const std::vector<const BadcoModel *> &models) const
+    const std::vector<const BadcoModel *> &models,
+    std::size_t jobs) const
 {
-    UncoreConfig ref_cfg = uncoreCfg_;
-    ref_cfg.policy = PolicyKind::LRU;
-    std::vector<double> refs;
-    refs.reserve(models.size());
     for (const BadcoModel *m : models) {
         if (m == nullptr)
             WSEL_FATAL("missing BADCO model");
+    }
+    UncoreConfig ref_cfg = uncoreCfg_;
+    ref_cfg.policy = PolicyKind::LRU;
+    std::vector<double> refs(models.size());
+    exec::parallel_for(jobs, std::size_t{0}, models.size(),
+                       [&](std::size_t b) {
         Uncore uncore(ref_cfg, 1, seed_);
-        BadcoMachine machine(*m, uncore, 0, targetUops_, window_,
-                             maxOutstanding_);
+        BadcoMachine machine(*models[b], uncore, 0, targetUops_,
+                             window_, maxOutstanding_);
         while (!machine.reachedTarget())
             machine.run(machine.localClock() + quantum_);
-        refs.push_back(machine.ipc());
-    }
+        refs[b] = machine.ipc();
+    });
     return refs;
 }
 

@@ -13,6 +13,7 @@
 #ifndef WSEL_SIM_MULTICORE_HH
 #define WSEL_SIM_MULTICORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,10 +77,14 @@ class DetailedMulticoreSim
 
     /**
      * Single-thread reference IPC for each suite benchmark running
-     * alone on this machine (used by speedup metrics).
+     * alone on this machine (used by speedup metrics).  Each
+     * benchmark is its own freshly seeded run into its own slot,
+     * spread over @p jobs workers (0 = exec::defaultJobs()), so the
+     * result is bitwise identical at every job count.
      */
     std::vector<double> referenceIpcs(
-        const std::vector<BenchmarkProfile> &suite) const;
+        const std::vector<BenchmarkProfile> &suite,
+        std::size_t jobs = 1) const;
 
     std::uint32_t cores() const { return cores_; }
     std::uint64_t targetUops() const { return targetUops_; }
@@ -147,9 +152,15 @@ class BadcoMulticoreSim
         restartThreads_ = restart;
     }
 
-    /** Single-machine reference IPCs from the models. */
+    /**
+     * Single-machine reference IPCs from the models: one freshly
+     * seeded run per model into its own slot, spread over @p jobs
+     * workers (0 = exec::defaultJobs()); bitwise identical at every
+     * job count.
+     */
     std::vector<double> referenceIpcs(
-        const std::vector<const BadcoModel *> &models) const;
+        const std::vector<const BadcoModel *> &models,
+        std::size_t jobs = 1) const;
 
     std::uint32_t cores() const { return cores_; }
     std::uint64_t targetUops() const { return targetUops_; }

@@ -1,8 +1,10 @@
 #include "sim/population.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <optional>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -37,22 +39,23 @@ makeAccumulators(const std::vector<PopulationPairSpec> &pairs,
 }
 
 /**
- * Visit the rows of @p shard in order: fn(row, seed position,
- * benchmarks).  Range mode streams a WorkloadCursor from the
- * shard's first rank; list mode unranks each listed rank.  The
- * span is only valid during the callback.
+ * Visit rows [@p row_begin, @p row_end) of @p shard in order:
+ * fn(row, seed position, benchmarks).  Range mode seeks a
+ * WorkloadCursor to the first row's rank and streams from there;
+ * list mode unranks each listed rank.  The span is only valid
+ * during the callback.
  */
 template <typename Fn>
 void
 forEachShardRow(const persist::V3Manifest &m,
                 const WorkloadPopulation &pop, std::uint64_t shard,
+                std::uint64_t row_begin, std::uint64_t row_end,
                 Fn &&fn)
 {
     const std::uint64_t first = m.shardFirstRank(shard);
-    const std::uint64_t rows = m.rowsInShard(shard);
     if (m.listMode()) {
         std::vector<std::uint32_t> benches;
-        for (std::uint64_t r = 0; r < rows; ++r) {
+        for (std::uint64_t r = row_begin; r < row_end; ++r) {
             pop.unrankInto(m.ranks[first + r], benches);
             fn(r, first + r,
                std::span<const std::uint32_t>(benches.data(),
@@ -60,8 +63,8 @@ forEachShardRow(const persist::V3Manifest &m,
         }
         return;
     }
-    WorkloadCursor cur(pop, first);
-    for (std::uint64_t r = 0; r < rows; ++r, cur.next())
+    WorkloadCursor cur(pop, first + row_begin);
+    for (std::uint64_t r = row_begin; r < row_end; ++r, cur.next())
         fn(r, first + r, cur.benchmarks());
 }
 
@@ -82,7 +85,7 @@ accumulateShard(const persist::V3Manifest &m,
     const std::size_t k = m.cores;
     std::vector<double> refs(k, 1.0);
     forEachShardRow(
-        m, pop, shard,
+        m, pop, shard, 0, m.rowsInShard(shard),
         [&](std::uint64_t r, std::uint64_t rank,
             std::span<const std::uint32_t> benches) {
             for (std::size_t c = 0; c < k; ++c)
@@ -104,18 +107,127 @@ accumulateShard(const persist::V3Manifest &m,
         });
 }
 
-/** Fatal unless @p ucfgs holds one config per manifest policy. */
+/**
+ * The row-range core of every shard simulator: check the geometry,
+ * then fn(row pointer, seed position, benchmarks) for each row of
+ * [@p row_begin, @p row_end), where the row pointer addresses that
+ * row's policies x cores cells in @p out.
+ */
+template <typename RowFn>
 void
-checkUncoreConfigs(const persist::V3Manifest &m,
-                   const std::vector<UncoreConfig> &ucfgs)
+simulateRowRange(const persist::V3Manifest &m,
+                 const WorkloadPopulation &pop,
+                 const std::vector<UncoreConfig> &ucfgs,
+                 std::uint64_t shard, std::uint64_t row_begin,
+                 std::uint64_t row_end, std::span<double> out,
+                 RowFn &&fn)
 {
     if (ucfgs.size() != m.policies.size())
         WSEL_FATAL("shard simulation got " << ucfgs.size()
                    << " uncore configs for " << m.policies.size()
                    << " policies");
+    const std::size_t row_cells = m.policies.size() * m.cores;
+    if (row_begin > row_end || row_end > m.rowsInShard(shard) ||
+        out.size() != (row_end - row_begin) * row_cells)
+        WSEL_FATAL("rows [" << row_begin << ", " << row_end
+                   << ") of shard " << shard << " got "
+                   << out.size() << " payload cells");
+    forEachShardRow(m, pop, shard, row_begin, row_end,
+                    [&](std::uint64_t r, std::uint64_t pos,
+                        std::span<const std::uint32_t> benches) {
+                        fn(out.data() + (r - row_begin) * row_cells,
+                           pos, benches);
+                    });
+}
+
+/** Resize @p payload to @p shard's cells. */
+std::span<double>
+shardPayload(const persist::V3Manifest &m, std::uint64_t shard,
+             std::vector<double> &payload)
+{
+    payload.assign(static_cast<std::size_t>(m.rowsInShard(shard)) *
+                       m.policies.size() * m.cores,
+                   0.0);
+    return {payload.data(), payload.size()};
 }
 
 } // namespace
+
+void
+simulatePopulationRows(const persist::V3Manifest &m,
+                       const WorkloadPopulation &pop,
+                       const std::vector<UncoreConfig> &ucfgs,
+                       const std::vector<const BadcoModel *> &models,
+                       std::uint64_t base_seed, std::uint64_t shard,
+                       std::uint64_t row_begin, std::uint64_t row_end,
+                       std::uint32_t batch_cells, std::span<double> out)
+{
+    const std::size_t np = m.policies.size();
+    const std::uint32_t k = m.cores;
+    // A batch never needs more slots than the range has cells.
+    const std::uint64_t cells = (row_end - row_begin) * np;
+    BadcoBatchRunner runner(
+        {ucfgs.data(), ucfgs.size()}, k, m.targetUops, models,
+        static_cast<std::uint32_t>(std::max<std::uint64_t>(
+            1, std::min<std::uint64_t>(
+                   resolveBatchCells(batch_cells), cells))));
+    simulateRowRange(
+        m, pop, ucfgs, shard, row_begin, row_end, out,
+        [&](double *row, std::uint64_t pos,
+            std::span<const std::uint32_t> benches) {
+            for (std::size_t p = 0; p < np; ++p) {
+                persist::faultPoint("population.cell");
+                runner.add(campaignCellSeed(m.fingerprint, base_seed,
+                                            p, pos),
+                           static_cast<std::uint32_t>(p), benches,
+                           row + p * k);
+            }
+        });
+    runner.run();
+}
+
+void
+simulateDetailedPopulationRows(
+    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const CoreConfig &core_cfg,
+    const std::vector<UncoreConfig> &ucfgs,
+    const std::vector<BenchmarkProfile> &suite,
+    std::uint64_t base_seed, std::uint64_t shard,
+    std::uint64_t row_begin, std::uint64_t row_end,
+    std::span<double> out)
+{
+    const std::size_t np = m.policies.size();
+    const std::uint32_t k = m.cores;
+    simulateRowRange(
+        m, pop, ucfgs, shard, row_begin, row_end, out,
+        [&](double *row, std::uint64_t pos,
+            std::span<const std::uint32_t> benches) {
+            const Workload w{std::vector<std::uint32_t>(
+                benches.begin(), benches.end())};
+            // Pin the row's trace chunks once: all np x k cursors of
+            // this row read the same <= k benchmarks, so one pin per
+            // row keeps a tight WSEL_TRACE_MEM budget from thrashing
+            // a chunk out between cells only to rebuild it for the
+            // next one. Dropped (and the budget re-converged) per
+            // row.
+            BatchPin pin;
+            for (std::uint32_t bench : w.benchmarks()) {
+                if (bench < suite.size())
+                    pin.pin(TraceStore::global(), suite[bench],
+                            m.targetUops);
+            }
+            for (std::size_t p = 0; p < np; ++p) {
+                persist::faultPoint("fidelity.escalate");
+                const DetailedMulticoreSim sim(
+                    core_cfg, ucfgs[p], k, m.targetUops,
+                    campaignCellSeed(m.fingerprint, base_seed, p,
+                                     pos));
+                const SimResult res = sim.run(w, suite);
+                for (std::uint32_t c = 0; c < k; ++c)
+                    row[p * k + c] = res.ipc[c];
+            }
+        });
+}
 
 void
 simulatePopulationShard(const persist::V3Manifest &m,
@@ -125,16 +237,13 @@ simulatePopulationShard(const persist::V3Manifest &m,
                         std::uint64_t base_seed, std::uint64_t shard,
                         std::vector<double> &payload)
 {
-    checkUncoreConfigs(m, ucfgs);
     const std::size_t np = m.policies.size();
     const std::uint32_t k = m.cores;
-    payload.assign(
-        static_cast<std::size_t>(m.rowsInShard(shard)) * np * k, 0.0);
-    forEachShardRow(
-        m, pop, shard,
-        [&](std::uint64_t r, std::uint64_t pos,
+    simulateRowRange(
+        m, pop, ucfgs, shard, 0, m.rowsInShard(shard),
+        shardPayload(m, shard, payload),
+        [&](double *row, std::uint64_t pos,
             std::span<const std::uint32_t> benches) {
-            double *row = payload.data() + r * np * k;
             for (std::size_t p = 0; p < np; ++p) {
                 persist::faultPoint("population.cell");
                 const BadcoMulticoreSim sim(
@@ -157,28 +266,9 @@ simulatePopulationShardBatched(
     std::uint32_t batch_cells, std::uint32_t /*batch_wave*/,
     std::vector<double> &payload)
 {
-    checkUncoreConfigs(m, ucfgs);
-    const std::size_t np = m.policies.size();
-    const std::uint32_t k = m.cores;
-    payload.assign(
-        static_cast<std::size_t>(m.rowsInShard(shard)) * np * k, 0.0);
-    BadcoBatchRunner runner({ucfgs.data(), ucfgs.size()}, k,
-                            m.targetUops, models,
-                            resolveBatchCells(batch_cells));
-    forEachShardRow(
-        m, pop, shard,
-        [&](std::uint64_t r, std::uint64_t pos,
-            std::span<const std::uint32_t> benches) {
-            double *row = payload.data() + r * np * k;
-            for (std::size_t p = 0; p < np; ++p) {
-                persist::faultPoint("population.cell");
-                runner.add(campaignCellSeed(m.fingerprint, base_seed,
-                                            p, pos),
-                           static_cast<std::uint32_t>(p), benches,
-                           row + p * k);
-            }
-        });
-    runner.run();
+    simulatePopulationRows(m, pop, ucfgs, models, base_seed, shard, 0,
+                           m.rowsInShard(shard), batch_cells,
+                           shardPayload(m, shard, payload));
 }
 
 void
@@ -190,59 +280,29 @@ simulateDetailedPopulationShard(
     std::uint64_t base_seed, std::uint64_t shard,
     std::vector<double> &payload)
 {
-    checkUncoreConfigs(m, ucfgs);
-    const std::size_t np = m.policies.size();
-    const std::uint32_t k = m.cores;
-    payload.assign(
-        static_cast<std::size_t>(m.rowsInShard(shard)) * np * k, 0.0);
-    forEachShardRow(
-        m, pop, shard,
-        [&](std::uint64_t r, std::uint64_t pos,
-            std::span<const std::uint32_t> benches) {
-            const Workload w{std::vector<std::uint32_t>(
-                benches.begin(), benches.end())};
-            // Pin the row's trace chunks once: all np x k cursors of
-            // this row read the same <= k benchmarks, so one pin per
-            // row keeps a tight WSEL_TRACE_MEM budget from thrashing
-            // a chunk out between cells only to rebuild it for the
-            // next one. Dropped (and the budget re-converged) per
-            // row.
-            BatchPin pin;
-            for (std::uint32_t bench : w.benchmarks()) {
-                if (bench < suite.size())
-                    pin.pin(TraceStore::global(), suite[bench],
-                            m.targetUops);
-            }
-            double *row = payload.data() + r * np * k;
-            for (std::size_t p = 0; p < np; ++p) {
-                persist::faultPoint("fidelity.escalate");
-                const DetailedMulticoreSim sim(
-                    core_cfg, ucfgs[p], k, m.targetUops,
-                    campaignCellSeed(m.fingerprint, base_seed, p,
-                                     pos));
-                const SimResult res = sim.run(w, suite);
-                for (std::uint32_t c = 0; c < k; ++c)
-                    row[p * k + c] = res.ipc[c];
-            }
-        });
+    simulateDetailedPopulationRows(m, pop, core_cfg, ucfgs, suite,
+                                   base_seed, shard, 0,
+                                   m.rowsInShard(shard),
+                                   shardPayload(m, shard, payload));
 }
 
 ShardLoopStats
 runV3Shards(const persist::V3Manifest &m, const std::string &dir,
             std::size_t jobs, bool verbose, const std::string &runner,
-            const std::function<void(std::uint64_t,
-                                     std::vector<double> &)> &simulate,
+            const ShardRowSimulator &simulate,
             const std::function<void(std::uint64_t,
                                      std::span<const double>)> &consume)
 {
-    struct Outcome
-    {
-        bool resumed = false;
-        double wall = 0.0;
+    using Clock = std::chrono::steady_clock;
+    const auto nanosSince = [](Clock::time_point t) {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t)
+                .count());
     };
     const std::uint64_t shards = m.shardCount();
     const std::uint64_t np = m.policies.size();
-    std::vector<Outcome> outcomes(shards);
+    const std::size_t row_cells = np * m.cores;
     const std::string span_name = runner + ".shard";
     if (!dir.empty()) {
         std::error_code ec;
@@ -251,20 +311,23 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
             WSEL_FATAL("cannot create campaign directory "
                        << dir << ": " << ec.message());
     }
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = Clock::now();
 
-    auto run_shard = [&](std::size_t s) {
-        const std::uint64_t cells = m.rowsInShard(s) * np;
-        const std::string shard_path =
-            dir.empty() ? "" : persist::v3ShardPath(dir, s);
-        if (!dir.empty()) {
+    // Resume pass: hand every intact shard to consume, quarantine
+    // the damaged ones.
+    std::vector<std::uint8_t> resumed(shards, 0);
+    if (!dir.empty()) {
+        exec::parallel_for(jobs, std::size_t{0}, shards,
+                           [&](std::size_t s) {
+            const std::string shard_path =
+                persist::v3ShardPath(dir, s);
             try {
                 const std::vector<double> payload =
                     persist::readV3Shard(dir, m, s);
                 consume(s, {payload.data(), payload.size()});
-                outcomes[s].resumed = true;
-                obs::counter(runner + ".cells_resumed").inc(cells);
-                return;
+                resumed[s] = 1;
+                obs::counter(runner + ".cells_resumed")
+                    .inc(m.rowsInShard(s) * np);
             } catch (const persist::CacheInvalid &e) {
                 if (fs::exists(shard_path)) {
                     const std::string moved =
@@ -277,37 +340,69 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
                          "; re-simulating");
                 }
             }
-        }
+        });
+    }
 
-        obs::Span sspan(span_name.c_str(),
-                        "shard=" + std::to_string(s));
-        const auto s0 = std::chrono::steady_clock::now();
-        std::vector<double> payload;
-        simulate(s, payload);
-        if (!dir.empty()) {
-            const auto w0 = std::chrono::steady_clock::now();
-            persist::writeV3Shard(dir, m, s,
-                                  {payload.data(), payload.size()});
-            if (obs::metricsEnabled()) {
-                static obs::Counter &shardsC =
-                    obs::counter("population.shards_written");
-                static obs::Counter &bytesC =
-                    obs::counter("population.bytes");
-                static obs::LatencyHistogram &writeNs =
-                    obs::histogram("population.shard_write_ns");
-                shardsC.inc();
-                bytesC.inc(payload.size() * sizeof(double));
-                writeNs.recordNs(static_cast<std::uint64_t>(
-                    std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - w0)
-                        .count()));
-            }
+    ShardLoopStats st;
+    std::vector<std::uint64_t> pending;
+    std::uint64_t rows = 0;
+    for (std::uint64_t s = 0; s < shards; ++s) {
+        if (resumed[s]) {
+            st.cellsResumed += m.rowsInShard(s) * np;
+            ++st.shardsResumed;
+        } else {
+            pending.push_back(s);
+            rows += m.rowsInShard(s);
         }
-        obs::counter(runner + ".cells").inc(cells);
-        consume(s, {payload.data(), payload.size()});
-        outcomes[s].wall = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - s0)
-                               .count();
+    }
+
+    // A shard still to simulate, from its first claimed row to its
+    // commit.
+    struct OpenShard
+    {
+        std::once_flag opened;
+        std::vector<double> payload;
+        std::atomic<std::uint64_t> rowsLeft{0};
+        std::atomic<std::uint64_t> busyNs{0}; ///< rows + commit
+    };
+    std::vector<OpenShard> open(pending.size());
+
+    obs::Gauge *progress = obs::metricsEnabled()
+                               ? &obs::gauge(runner + ".progress")
+                               : nullptr;
+    std::mutex progress_mu;
+    std::uint64_t rows_done = 0;
+    if (progress)
+        progress->set(rows == 0 ? 1.0 : 0.0);
+
+    auto commit = [&](std::size_t i) {
+        const std::uint64_t s = pending[i];
+        OpenShard &o = open[i];
+        const std::uint64_t cells = m.rowsInShard(s) * np;
+        const auto c0 = Clock::now();
+        {
+            obs::Span sspan(span_name.c_str(),
+                            "shard=" + std::to_string(s));
+            if (!dir.empty()) {
+                persist::writeV3Shard(
+                    dir, m, s, {o.payload.data(), o.payload.size()});
+                if (obs::metricsEnabled()) {
+                    static obs::Counter &shardsC =
+                        obs::counter("population.shards_written");
+                    static obs::Counter &bytesC =
+                        obs::counter("population.bytes");
+                    static obs::LatencyHistogram &writeNs =
+                        obs::histogram("population.shard_write_ns");
+                    shardsC.inc();
+                    bytesC.inc(o.payload.size() * sizeof(double));
+                    writeNs.recordNs(nanosSince(c0));
+                }
+            }
+            obs::counter(runner + ".cells").inc(cells);
+            consume(s, {o.payload.data(), o.payload.size()});
+        }
+        o.busyNs += nanosSince(c0);
+        std::vector<double>().swap(o.payload);
         if (verbose) {
             std::ostringstream os;
             os << "  [" << runner << "] shard " << (s + 1) << "/"
@@ -316,22 +411,40 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
         }
     };
 
-    exec::parallel_for(jobs, std::size_t{0}, shards, run_shard);
+    // Unit u is row u % shardRows of pending shard u / shardRows:
+    // every shard but the manifest's last has shardRows rows, and
+    // that one, when pending, comes last.
+    exec::parallel_for(jobs, std::size_t{0}, rows, [&](std::size_t u) {
+        const std::size_t i = u / m.shardRows;
+        const std::uint64_t row = u % m.shardRows;
+        const std::uint64_t s = pending[i];
+        OpenShard &o = open[i];
+        const auto r0 = Clock::now();
+        std::call_once(o.opened, [&] {
+            o.payload.assign(m.rowsInShard(s) * row_cells, 0.0);
+            o.rowsLeft = m.rowsInShard(s);
+        });
+        simulate(s, row, row + 1,
+                 {o.payload.data() + row * row_cells, row_cells});
+        o.busyNs += nanosSince(r0);
+        if (progress) {
+            std::lock_guard<std::mutex> g(progress_mu);
+            progress->set(static_cast<double>(++rows_done) /
+                          static_cast<double>(rows));
+        }
+        // The last row's thread sees every other row's cells.
+        if (--o.rowsLeft == 0)
+            commit(i);
+    });
     const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
+                            Clock::now() - t0)
                             .count();
 
-    ShardLoopStats st;
-    for (std::uint64_t s = 0; s < shards; ++s) {
-        const std::uint64_t cells = m.rowsInShard(s) * np;
-        if (outcomes[s].resumed) {
-            st.cellsResumed += cells;
-            ++st.shardsResumed;
-        } else {
-            st.cellsSimulated += cells;
-            ++st.shardsWritten;
-            st.simSeconds += outcomes[s].wall;
-        }
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        st.cellsSimulated += m.rowsInShard(pending[i]) * np;
+        ++st.shardsWritten;
+        st.simSeconds +=
+            1e-9 * static_cast<double>(open[i].busyNs.load());
     }
     // A pass that resumed every shard measured no rate: keep the
     // last real one.
@@ -398,7 +511,7 @@ runBadcoPopulationCampaign(
     {
         UncoreConfig ref = UncoreConfig::forCores(k, PolicyKind::LRU);
         BadcoMulticoreSim ref_sim(ref, 1, target_uops, opts.seed);
-        m.refIpc = ref_sim.referenceIpcs(models);
+        m.refIpc = ref_sim.referenceIpcs(models, jobs);
     }
 
     // A fresh run must not inherit shards from an older (maybe
@@ -421,10 +534,11 @@ runBadcoPopulationCampaign(
         resolveBatchCells(opts.batchCells);
     const ShardLoopStats st = runV3Shards(
         m, out_dir, jobs, opts.verbose, "population",
-        [&](std::uint64_t s, std::vector<double> &payload) {
-            simulatePopulationShardBatched(m, pop, ucfgs, models,
-                                           opts.seed, s, batch_cells,
-                                           0, payload);
+        [&](std::uint64_t s, std::uint64_t row_begin,
+            std::uint64_t row_end, std::span<double> out) {
+            simulatePopulationRows(m, pop, ucfgs, models, opts.seed,
+                                   s, row_begin, row_end, batch_cells,
+                                   out);
         },
         [&](std::uint64_t s, std::span<const double> payload) {
             parts[s] = makeAccumulators(pairs, opts);

@@ -22,9 +22,10 @@
  * the per-shard statistics merge deterministically in shard order
  * (docs/PARALLELISM.md contract extended to shards).
  *
- * The shard loop itself (runV3Shards) and the three shard
- * simulators are shared with runBadcoCampaign/runDetailedCampaign
- * (sim/campaign.hh), which run list-mode manifests through them.
+ * The shard loop itself (runV3Shards, which schedules rows and
+ * stores shards) and the row simulators are shared with
+ * runBadcoCampaign/runDetailedCampaign (sim/campaign.hh), which run
+ * list-mode manifests through them.
  */
 
 #ifndef WSEL_SIM_POPULATION_HH
@@ -91,7 +92,11 @@ struct PopulationOptions
 {
     std::uint64_t seed = 1;
 
-    /** Worker threads over shards; 0 = $WSEL_JOBS else hardware. */
+    /**
+     * Worker threads over the rows of the shards to simulate (and
+     * over the suite's reference runs); 0 = $WSEL_JOBS else
+     * hardware.
+     */
     std::size_t jobs = 1;
 
     /**
@@ -126,7 +131,9 @@ struct PopulationOptions
     /**
      * Cells per batch for the batched BADCO engine (sim/batch.hh):
      * 0 resolves WSEL_BATCH_CELLS (default 32), 1 runs cells
-     * serially. Results are bitwise identical at every value.
+     * serially. Rows are the scheduling unit, so a batch never
+     * spans more than one row's cells. Results are bitwise
+     * identical at every value.
      */
     std::uint32_t batchCells = 0;
 };
@@ -157,22 +164,65 @@ struct PopulationResult
 };
 
 /**
- * Simulate one campaign_v3 shard's cells into @p payload (resized
- * to rowsInShard(shard) x policies x cores, row-major: workload,
- * policy, core).  This is the unit of work shared by the
- * in-process runners and the `wsel_worker` processes of the
- * distributed campaign service (src/serve/).  Rows come from the
- * manifest's rank range or, in list mode, its rank list; per-cell
- * seeds are campaignCellSeed(m.fingerprint, base_seed, policy,
- * firstRank + row position) — the absolute rank in range mode, the
- * list index in list mode — so any process producing a given shard
- * produces bitwise-identical bytes.
+ * Simulate rows [@p row_begin, @p row_end) of one campaign_v3
+ * shard into @p out, which must hold exactly (row_end - row_begin)
+ * x policies x cores doubles (row-major: workload, policy, core).
+ * This row range is the unit of work of every in-process runner
+ * (runV3Shards fans a shard's rows out over its workers); the
+ * whole-shard functions below wrap it for the `wsel_worker`
+ * processes of the distributed campaign service (src/serve/).
+ * Rows come from the manifest's rank range or, in list mode, its
+ * rank list; per-cell seeds are campaignCellSeed(m.fingerprint,
+ * base_seed, policy, firstRank + row position) — the absolute rank
+ * in range mode, the list index in list mode — so any process
+ * producing a given row, in any range, produces bitwise-identical
+ * bytes.
  *
- * @p ucfgs must hold one UncoreConfig per manifest policy (in
- * order) and @p models one BADCO model per suite benchmark.  The
- * "population.cell" fault point fires once per simulated cell
- * (tests/fault_injection.hh; the worker binary can arm it to
- * SIGKILL itself mid-shard).
+ * Cells run through the batched BADCO engine (sim/batch.hh) in
+ * groups of @p batch_cells (resolved via resolveBatchCells; the
+ * group never spans more than the range's cells); the payload is
+ * bitwise identical at every batch size.  @p ucfgs must hold one
+ * UncoreConfig per manifest policy (in order) and @p models one
+ * BADCO model per suite benchmark.  The "population.cell" fault
+ * point fires once per cell, in row-major order, at batch-append
+ * time (tests/fault_injection.hh; the worker binary can arm it to
+ * SIGKILL itself mid-shard): a fault mid-range abandons the whole
+ * (unwritten) shard, so resume semantics do not depend on the
+ * batch size or the range.
+ */
+void simulatePopulationRows(
+    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const std::vector<UncoreConfig> &ucfgs,
+    const std::vector<const BadcoModel *> &models,
+    std::uint64_t base_seed, std::uint64_t shard,
+    std::uint64_t row_begin, std::uint64_t row_end,
+    std::uint32_t batch_cells, std::span<double> out);
+
+/**
+ * Detailed-fidelity twin of simulatePopulationRows: the same row
+ * layout and campaignCellSeed contract, but every cell runs on the
+ * cycle-level DetailedMulticoreSim (so the manifest's fingerprint
+ * must be a "detailed" one), and each row's trace chunks are
+ * pinned once for its np x k cells.  The unit of work behind
+ * escalated shards in mixed-fidelity campaigns (docs/FIDELITY.md)
+ * and runDetailedCampaign; its kill point is "fidelity.escalate",
+ * fired once per cell.
+ */
+void simulateDetailedPopulationRows(
+    const persist::V3Manifest &m, const WorkloadPopulation &pop,
+    const CoreConfig &core_cfg,
+    const std::vector<UncoreConfig> &ucfgs,
+    const std::vector<BenchmarkProfile> &suite,
+    std::uint64_t base_seed, std::uint64_t shard,
+    std::uint64_t row_begin, std::uint64_t row_end,
+    std::span<double> out);
+
+/**
+ * Simulate every cell of one shard into @p payload (resized to
+ * rowsInShard(shard) x policies x cores) on the serial BADCO
+ * engine: one BadcoMulticoreSim per cell, bitwise identical to
+ * simulatePopulationRows at every batch size.  The reference
+ * engine behind the batched one (tests/test_batch.cc, perfbench).
  */
 void simulatePopulationShard(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -182,17 +232,10 @@ void simulatePopulationShard(
     std::vector<double> &payload);
 
 /**
- * Batched variant of simulatePopulationShard: identical contract
- * and bitwise-identical payload, but cells run through the
- * BadcoBatchRunner (sim/batch.hh) in groups of @p batch_cells
- * (resolved via resolveBatchCells; 1 behaves like the serial
- * engine). @p batch_wave is ignored: it names the width of a
- * removed wavefront mode and stays only so existing callers keep
- * compiling. The "population.cell" fault point still fires once
- * per cell, at batch-append time — a fault or SIGKILL mid-batch
- * abandons the whole (unwritten) shard exactly as the serial
- * engine's mid-shard fault does, so resume semantics are unchanged
- * at any batch size.
+ * simulatePopulationRows over every row of @p shard, into
+ * @p payload (resized to the shard's cells). @p batch_wave is
+ * ignored: it names the width of a removed wavefront mode and
+ * stays only so existing callers keep compiling.
  */
 void simulatePopulationShardBatched(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -203,13 +246,8 @@ void simulatePopulationShardBatched(
     std::vector<double> &payload);
 
 /**
- * Detailed-fidelity twin of simulatePopulationShard: the same
- * shard geometry, row layout and campaignCellSeed contract, but
- * every cell runs on the cycle-level DetailedMulticoreSim (so the
- * manifest's fingerprint must be a "detailed" one).  The unit of
- * work behind escalated shards in mixed-fidelity campaigns
- * (docs/FIDELITY.md); its kill point is "fidelity.escalate", fired
- * once per cell.
+ * simulateDetailedPopulationRows over every row of @p shard, into
+ * @p payload (resized to the shard's cells).
  */
 void simulateDetailedPopulationShard(
     const persist::V3Manifest &m, const WorkloadPopulation &pop,
@@ -226,27 +264,49 @@ struct ShardLoopStats
     std::uint64_t cellsResumed = 0;
     std::uint64_t shardsWritten = 0;
     std::uint64_t shardsResumed = 0;
-    double simSeconds = 0.0; ///< summed wall of simulated shards
+    /** Summed row and commit wall time of the simulated shards. */
+    double simSeconds = 0.0;
 };
 
 /**
- * The shard loop behind every in-process campaign_v3 runner.  For
- * each shard of @p m: when @p dir is non-empty, reuse the intact
- * shard already there (a damaged one is quarantined), else call
- * @p simulate and write the shard atomically; then hand the payload
- * to @p consume.  Shards run on min(jobs, shards) threads (@p jobs
- * resolved by exec::resolveJobs), so @p consume may run
- * concurrently for different shards.  Each simulated shard is a
- * "<runner>.shard" span and counts its cells into "<runner>.cells",
- * each reused one into "<runner>.cells_resumed"; the loop sets
- * "<runner>.cells_per_sec".  @p dir is created when
+ * Simulate rows [row_begin, row_end) of a shard into the given
+ * slice of its payload: simulate(shard, row_begin, row_end, out).
+ */
+using ShardRowSimulator =
+    std::function<void(std::uint64_t, std::uint64_t, std::uint64_t,
+                       std::span<double>)>;
+
+/**
+ * The shard loop behind every in-process campaign_v3 runner.  The
+ * shard is the unit of storage, resume and content addressing; the
+ * row is the unit of scheduling:
+ *
+ *  1. Resume pass: when @p dir is non-empty, every intact shard
+ *     already there is handed to @p consume (a damaged one is
+ *     quarantined).
+ *  2. One parallel loop on min(jobs, rows) workers (@p jobs
+ *     resolved by exec::resolveJobs) over the rows of every shard
+ *     still to simulate, in shard-then-row order: each row is one
+ *     @p simulate call into its shard's payload slice.  A shard's
+ *     payload is allocated when its first row is claimed; the
+ *     thread that finishes its last row writes the shard atomically,
+ *     hands it to @p consume and frees it, so at most jobs + 1
+ *     payloads are open at once.
+ *
+ * @p consume may therefore run concurrently for different shards,
+ * and resumed shards are consumed before simulated ones.  At one
+ * job everything runs inline, in shard and row order.  Each
+ * simulated shard's commit is a "<runner>.shard" span and counts
+ * its cells into "<runner>.cells", each reused one into
+ * "<runner>.cells_resumed"; the loop sets "<runner>.progress" (the
+ * fraction of this pass's cells simulated) as rows complete and
+ * "<runner>.cells_per_sec" at the end.  @p dir is created when
  * missing; the caller commits the manifest.
  */
 ShardLoopStats runV3Shards(
     const persist::V3Manifest &m, const std::string &dir,
     std::size_t jobs, bool verbose, const std::string &runner,
-    const std::function<void(std::uint64_t, std::vector<double> &)>
-        &simulate,
+    const ShardRowSimulator &simulate,
     const std::function<void(std::uint64_t, std::span<const double>)>
         &consume);
 

@@ -384,7 +384,8 @@ TEST_F(BatchCampaign, RecordsPerCellLatencyAndResumedCells)
 {
     // The batched engine is the default path: its cells must show
     // up in sim.badco.cells / sim.badco.cell_ns like the serial
-    // engine's, and a resume pass in population.cells_resumed.
+    // engine's, a resume pass in population.cells_resumed, and a
+    // finished pass as population.progress 1.
     const std::uint64_t cells = 15u * kPolicies.size();
     obs::enableMetrics();
     obs::Counter &sim_cells = obs::counter("sim.badco.cells");
@@ -395,16 +396,22 @@ TEST_F(BatchCampaign, RecordsPerCellLatencyAndResumedCells)
     const std::uint64_t ns0 = cell_ns.count();
     const std::uint64_t resumed0 = resumed.value();
 
+    obs::Gauge &progress = obs::gauge("population.progress");
+    progress.set(0.0);
+
     const std::string out = path("v3");
     run(out, 1, 32);
     EXPECT_EQ(sim_cells.value() - cells0, cells);
     EXPECT_EQ(cell_ns.count() - ns0, cells);
     EXPECT_EQ(resumed.value(), resumed0);
+    EXPECT_EQ(progress.value(), 1.0);
 
+    progress.set(0.0);
     run(out, 1, 32); // every shard resumed, nothing simulated
     obs::enableMetrics(false);
     EXPECT_EQ(sim_cells.value() - cells0, cells);
     EXPECT_EQ(resumed.value() - resumed0, cells);
+    EXPECT_EQ(progress.value(), 1.0); // nothing left to simulate
 }
 
 // -------------------------------------------------------------------

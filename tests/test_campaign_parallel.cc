@@ -4,8 +4,10 @@
  * matrix must be bitwise identical for any --jobs count, a
  * campaign killed mid-run under parallel jobs must resume from its
  * shards to the exact uninterrupted matrix (shards written at one
- * job count resume at another), and the per-cell seed derivation
- * must be stable and collision-free across the matrix.
+ * job count resume at another), a shard whose rows ran on
+ * different workers must equal the serial one, the reference IPCs
+ * must not depend on the job count, and the per-cell seed
+ * derivation must be stable and collision-free across the matrix.
  */
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "fault_injection.hh"
 #include "sim/campaign.hh"
 #include "sim/characterize.hh"
+#include "sim/multicore.hh"
 #include "stats/persist.hh"
 #include "stats/persist_v3.hh"
 #include "test_util.hh"
@@ -247,6 +250,73 @@ TEST_F(CampaignParallel, DetailedCampaignJobsInvariantUnderTraceEviction)
     expectSameResults(base, squeezed_parallel);
     EXPECT_GT(ts.evictions(), evictions_before)
         << "budget squeeze forced no evictions; test is vacuous";
+}
+
+TEST_F(CampaignParallel, DetailedMultiRowShardsAreJobsInvariant)
+{
+    // 132 rows (the 3 workloads of the 2-core population, repeated)
+    // make 3-row shards, so the workers split each shard's rows
+    // between them: the shards and the matrix must not notice.
+    const auto suite = testSuite();
+    const WorkloadPopulation pop(2, 2);
+    std::vector<Workload> rows;
+    for (int rep = 0; rep < 44; ++rep)
+        for (const Workload &w : pop.enumerateAll())
+            rows.push_back(w);
+    const auto run = [&](std::size_t jobs, const std::string &dir) {
+        CampaignOptions opts;
+        opts.jobs = jobs;
+        opts.artifactDir = dir;
+        return runDetailedCampaign(WorkloadSet(rows),
+                                   {PolicyKind::LRU}, 2, 1000,
+                                   CoreConfig{}, suite, opts);
+    };
+    const std::string serial_dir = path("serial");
+    const std::string parallel_dir = path("parallel");
+    const Campaign serial = run(1, serial_dir);
+    const Campaign parallel = run(4, parallel_dir);
+    expectSameResults(serial, parallel);
+
+    const persist::V3Manifest m = persist::readV3Manifest(serial_dir);
+    ASSERT_EQ(m.shardRows, 3u);
+    for (std::uint64_t s = 0; s < m.shardCount(); ++s)
+        EXPECT_EQ(test::readFile(persist::v3ShardPath(serial_dir, s)),
+                  test::readFile(persist::v3ShardPath(parallel_dir, s)))
+            << "shard " << s;
+}
+
+TEST_F(CampaignParallel, ReferenceIpcsAreJobsInvariant)
+{
+    // One freshly seeded run per benchmark into its own slot: the
+    // reference IPCs cannot depend on which worker ran which.
+    std::vector<BenchmarkProfile> suite;
+    for (std::uint64_t seed : {7u, 13u, 19u})
+        suite.push_back(test::lightProfile(seed));
+    for (std::uint64_t seed : {11u, 17u})
+        suite.push_back(test::heavyProfile(seed));
+    // The model store keys models by name.
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        suite[i].name += "-" + std::to_string(i);
+    const UncoreConfig ucfg =
+        UncoreConfig::forCores(4, PolicyKind::DIP);
+
+    const DetailedMulticoreSim detailed(CoreConfig{}, ucfg, 1, kUops,
+                                        3);
+    const std::vector<double> d1 = detailed.referenceIpcs(suite, 1);
+    EXPECT_EQ(d1, detailed.referenceIpcs(suite, 4));
+
+    BadcoModelStore store(CoreConfig{}, kUops, 5, path("models"));
+    const auto models = store.getSuite(suite, 1);
+    const BadcoMulticoreSim badco(ucfg, 1, kUops, 3);
+    const std::vector<double> b1 = badco.referenceIpcs(models, 1);
+    EXPECT_EQ(b1, badco.referenceIpcs(models, 4));
+
+    ASSERT_EQ(d1.size(), suite.size());
+    ASSERT_EQ(b1.size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        EXPECT_GT(d1[i], 0.0) << suite[i].name;
+        EXPECT_GT(b1[i], 0.0) << suite[i].name;
+    }
 }
 
 TEST_F(CampaignParallel, CharacterizationIsJobsInvariant)

@@ -6,8 +6,9 @@
  * streaming statistics (Welford cv, mergeable QuantileSketch,
  * Histogram::merge, StreamedWorkloadStrata), and the population
  * runner's resilience contract: serial vs parallel bitwise shard
- * identity, kill-point resume at shard granularity, and
- * truncated-shard quarantine-and-regenerate.
+ * identity (one shard's rows fanned out over the workers included),
+ * kill-point resume at shard granularity, and truncated-shard
+ * quarantine-and-regenerate.
  */
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 
 #include "core/sampling/sampling.hh"
 #include "fault_injection.hh"
+#include "obs/metrics.hh"
 #include "sim/campaign.hh"
 #include "sim/population.hh"
 #include "stats/persist_v3.hh"
@@ -357,11 +359,12 @@ class PopulationCampaign : public ::testing::Test
     /**
      * The standard run of these tests: 2 policies x the full
      * 4-core population over a 3-benchmark suite (15 workloads),
-     * 8 cells per shard (4 rows -> 4 shards).
+     * 8 cells per shard (4 rows -> 4 shards) unless @p shard_cells
+     * says otherwise.
      */
     PopulationResult
     run(const std::string &out, std::size_t jobs = 1,
-        bool resume = true)
+        bool resume = true, std::size_t shard_cells = 8)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -369,7 +372,7 @@ class PopulationCampaign : public ::testing::Test
         BadcoModelStore store(CoreConfig{}, kUops, 5);
         PopulationOptions opts;
         opts.jobs = jobs;
-        opts.shardCells = 8;
+        opts.shardCells = shard_cells;
         opts.resume = resume;
         return runBadcoPopulationCampaign(pop, kPolicies, kUops,
                                           store, suite, testPairs(),
@@ -505,6 +508,71 @@ TEST_F(PopulationCampaign, KillMidRunResumesToIdenticalArtifact)
     const auto got = shardBytes(out, r2.manifest.shardCount());
     for (std::size_t s = 0; s < want.size(); ++s)
         EXPECT_EQ(want[s], got[s]) << "shard " << s;
+    EXPECT_TRUE(persist::isV3CampaignDir(out));
+}
+
+TEST_F(PopulationCampaign, OneShardFansOutAcrossJobs)
+{
+    // The default shard size holds all 15 rows: one shard, whose
+    // rows are the scheduler's units.
+    constexpr std::size_t kOneShard = 64 * 1024;
+    const std::string serial = path("serial");
+    const std::string parallel = path("parallel");
+    const PopulationResult rs = run(serial, 1, true, kOneShard);
+    ASSERT_EQ(rs.manifest.shardCount(), 1u);
+
+    obs::enableMetrics();
+    obs::Counter &tasks = obs::counter("scheduler.tasks_run");
+    const std::uint64_t tasks0 = tasks.value();
+    const PopulationResult rp = run(parallel, 4, true, kOneShard);
+    const std::uint64_t ran = tasks.value() - tasks0;
+    obs::enableMetrics(false);
+
+    ASSERT_EQ(rp.manifest.shardCount(), 1u);
+    EXPECT_GE(ran, rp.manifest.rows());
+    EXPECT_EQ(rp.cellsSimulated, 15u * kPolicies.size());
+    EXPECT_EQ(shardBytes(serial, 1), shardBytes(parallel, 1));
+    EXPECT_EQ(rs.manifest.refIpc, rp.manifest.refIpc);
+    for (std::size_t i = 0; i < rs.pairs.size(); ++i) {
+        EXPECT_EQ(rs.pairs[i].d.mean(), rp.pairs[i].d.mean());
+        EXPECT_EQ(rs.pairs[i].d.stddevPopulation(),
+                  rp.pairs[i].d.stddevPopulation());
+    }
+}
+
+TEST_F(PopulationCampaign, KillMidShardAtJobs4ResumesAtJobs1)
+{
+    const std::string ref = path("ref");
+    const PopulationResult rr = run(ref);
+    const auto want = shardBytes(ref, rr.manifest.shardCount());
+
+    // The 13th cell lands mid-way through shard 1 or 2, whichever
+    // rows the four workers had claimed: the rows already running
+    // finish, the rest are never claimed, and no partial shard is
+    // written.
+    const std::string out = path("v3");
+    {
+        test::FaultInjector fi("population.cell", 13);
+        EXPECT_THROW(run(out, 4), test::InjectedFault);
+    }
+    EXPECT_FALSE(persist::isV3CampaignDir(out));
+    // Whatever the killed run committed is already final.
+    for (std::uint64_t s = 0; s < want.size(); ++s) {
+        const std::string f = persist::v3ShardPath(out, s);
+        if (fs::exists(f)) {
+            EXPECT_EQ(test::readFile(f), want[s]) << "shard " << s;
+        }
+    }
+
+    const PopulationResult r2 = run(out, 1); // resume serially
+    EXPECT_EQ(r2.cellsSimulated + r2.cellsResumed,
+              15u * kPolicies.size());
+    EXPECT_EQ(shardBytes(out, r2.manifest.shardCount()), want);
+    for (std::size_t i = 0; i < rr.pairs.size(); ++i) {
+        EXPECT_EQ(rr.pairs[i].d.mean(), r2.pairs[i].d.mean());
+        EXPECT_EQ(rr.pairs[i].d.stddevPopulation(),
+                  r2.pairs[i].d.stddevPopulation());
+    }
     EXPECT_TRUE(persist::isV3CampaignDir(out));
 }
 

@@ -31,7 +31,9 @@
 # shard runner, and the one-pass statistics under asan/ubsan and
 # tsan — twice, at --batch-cells 1 and --batch-cells 8, with a
 # byte-compare of the shards (the sim/batch.hh identity contract
-# under the sanitizer) — plus a
+# under the sanitizer), then as one 64-row shard at --jobs 1 and
+# --jobs 4, byte-compared too (rows of one shard written
+# concurrently into one payload) — plus a
 # `wsel_cli adaptive` smoke (sequential
 # stopping rule with a resume pass, docs/SAMPLING.md), both
 # adaptive and hybrid smokes running their cells through the
@@ -114,8 +116,22 @@ for preset in $presets; do
         for shard in "$popdir"/pop.v3/shard-*.bin; do
             cmp "$shard" "$popdir/pop-batched.v3/${shard##*/}"
         done
+        # One-shard twin: --shard-size 65536 puts all 64 rows in one
+        # shard, so at --jobs 4 four threads write rows into the same
+        # payload; its shard must match the --jobs 1 run's.
+        for jobs in 1 4; do
+            WSEL_CACHE_DIR="$popdir/cache" \
+                "./$bindir/tools/wsel_cli" population \
+                --out "$popdir/pop-one-j$jobs.v3" \
+                --insns 5000 --limit 64 --shard-size 65536 \
+                --jobs "$jobs"
+            test -s "$popdir/pop-one-j$jobs.v3/manifest.bin"
+        done
+        for shard in "$popdir"/pop-one-j1.v3/shard-*.bin; do
+            cmp "$shard" "$popdir/pop-one-j4.v3/${shard##*/}"
+        done
         rm -rf "$popdir"
-        echo "==> population smoke (serial + batched) passed under $preset"
+        echo "==> population smoke (serial + batched + one shard) passed under $preset"
 
         # Adaptive sequential campaign smoke (docs/SAMPLING.md):
         # live stopping rule, batch artifacts and a resume of the

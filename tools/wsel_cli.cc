@@ -14,9 +14,10 @@
  *       sample of it) into the campaign_v3 directory DIR; shards
  *       land as they complete and, by default, a rerun with the
  *       same DIR resumes from them (--resume 0 clears DIR first);
- *       --jobs N simulates shards on N worker threads (default 0 =
- *       $WSEL_JOBS, else all hardware threads; the result is
- *       bitwise identical to --jobs 1, see docs/PARALLELISM.md);
+ *       --jobs N simulates the shards' rows on N worker threads
+ *       (default 0 = $WSEL_JOBS, else all hardware threads; the
+ *       result is bitwise identical to --jobs 1, see
+ *       docs/PARALLELISM.md);
  *       --metrics-out writes the metrics snapshot as JSON and
  *       --trace-out a Chrome/Perfetto trace on exit
  *       (docs/OBSERVABILITY.md; $WSEL_METRICS and $WSEL_TRACE set
