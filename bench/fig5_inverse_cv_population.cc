@@ -18,10 +18,12 @@
  *    1/cv from the one-pass Welford statistics, cells/sec, and
  *    peak RSS — the paper's Figure 5 point that 8-core populations
  *    are only approachable with bounded-memory streaming;
- *  - a batched-cell-engine sweep (sim/batch.hh) over
- *    --batch-cells {1, 8, 16, 32, 64} on the same 4-core rank
- *    range, reporting cells/sec and peak RSS per batch size
- *    (docs/PERFORMANCE.md, "Batched execution"). Peak RSS is the
+ *  - a batched-cell-engine sweep (sim/batch.hh) over batch sizes
+ *    {1, 8, 16, 32, 64}: simulatePopulationShardBatched on one
+ *    thread over one shard holding the same 4-core rank range, so
+ *    a batch spans rows, reporting cells/sec and peak RSS per
+ *    batch size (docs/PERFORMANCE.md, "Batched execution"). Peak
+ *    RSS is the
  *    process high-water mark, so later sweep points can only
  *    inherit earlier peaks — flat numbers across the sweep mean
  *    batching added nothing.
@@ -45,6 +47,7 @@
 
 #include "bench_util.hh"
 #include "exec/scheduler.hh"
+#include "sim/campaign.hh"
 #include "sim/model_store.hh"
 #include "sim/population.hh"
 
@@ -180,10 +183,35 @@ main()
 
     // --------------------------------------------------------------
     // Batched cell engine: cells/sec vs batch size B on the same
-    // 4-core rank range. batch=1 is the serial engine shape; the
-    // artifact bytes are identical at every B (tests/test_batch.cc),
+    // 4-core rank range, held in one shard and simulated on one
+    // thread, so a batch fills with the cells of consecutive rows.
+    // (A campaign schedules single rows, which caps its batches at
+    // one row's cells.) batch=1 is the serial engine shape; the
+    // payload bytes are identical at every B (tests/test_batch.cc),
     // so this sweep measures pure execution efficiency.
     // --------------------------------------------------------------
+    persist::V3Manifest bm;
+    bm.fingerprint =
+        campaignFingerprint("badco", 4, target, policies, suite);
+    bm.simulator = "badco";
+    bm.cores = 4;
+    bm.targetUops = target;
+    for (PolicyKind p : policies)
+        bm.policies.push_back(toString(p));
+    for (const BenchmarkProfile &p : suite)
+        bm.benchmarks.push_back(p.name);
+    bm.refIpc.assign(suite.size(), 1.0);
+    bm.popBenchmarks = b;
+    bm.popCores = 4;
+    bm.firstRank = 0;
+    bm.lastRank = bench_rows;
+    bm.shardRows = bench_rows;
+    std::vector<UncoreConfig> ucfgs;
+    for (PolicyKind p : policies)
+        ucfgs.push_back(UncoreConfig::forCores(4, p));
+    const std::vector<const BadcoModel *> models =
+        store.getSuite(suite);
+    std::vector<double> payload;
     struct BatchPoint
     {
         std::uint32_t batch;
@@ -193,21 +221,14 @@ main()
     };
     std::vector<BatchPoint> batch_points;
     std::printf("\nBATCHED CELL ENGINE (badco, 4 cores, %llu "
-                "workloads x %zu policies, jobs=8)\n\n",
+                "workloads x %zu policies, one shard, jobs=1)\n\n",
                 static_cast<unsigned long long>(bench_rows), np);
     std::printf("%-12s %10s %12s %12s\n", "batch-cells", "seconds",
                 "cells/sec", "peak-RSS-MiB");
     for (std::uint32_t bsz : {1u, 8u, 16u, 32u, 64u}) {
-        const std::string out =
-            scratch + "/batch" + std::to_string(bsz) + ".v3";
-        PopulationOptions opts;
-        opts.jobs = 8;
-        opts.lastRank = bench_rows;
-        opts.resume = false;
-        opts.batchCells = bsz;
         const auto t0 = std::chrono::steady_clock::now();
-        const PopulationResult r = runBadcoPopulationCampaign(
-            pop4, policies, target, store, suite, {}, out, opts);
+        simulatePopulationShardBatched(bm, pop4, ucfgs, models, 1, 0,
+                                       bsz, 0, payload);
         const double sec =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
@@ -217,7 +238,6 @@ main()
         std::printf("%-12u %10.2f %12.0f %12.1f\n", bsz, sec,
                     batch_points.back().cps,
                     batch_points.back().rssMib);
-        (void)r;
     }
 
     if (const char *json = std::getenv("WSEL_BENCH_JSON_BATCH");
@@ -233,7 +253,7 @@ main()
                      "  \"target_uops\": %llu,\n"
                      "  \"workloads\": %llu,\n"
                      "  \"policies\": %zu,\n"
-                     "  \"jobs\": 8,\n"
+                     "  \"jobs\": 1,\n"
                      "  \"points\": [\n",
                      static_cast<unsigned long long>(target),
                      static_cast<unsigned long long>(bench_rows),

@@ -112,11 +112,13 @@ DetailedCore::emitEvent(const UncoreRequestEvent &ev)
 void
 DetailedCore::tick(std::uint64_t now)
 {
-    ++stats_.cycles;
+    if (now < nextWork_)
+        return;
     retire(now);
     issue(now);
     dispatch(now);
     fetch(now);
+    plan(now);
 }
 
 // -------------------------------------------------------------------
@@ -374,15 +376,7 @@ DetailedCore::dispatch(std::uint64_t now)
         if (fetchBuffer_.empty())
             return;
         const FetchedUop &f = fetchBuffer_.front();
-        if (f.readyCycle > now)
-            return;
-        if (robTailSeq_ - robHeadSeq_ >= cfg_.robSize)
-            return;
-        if (rsQueue_.size() >= cfg_.rsSize)
-            return;
-        if (f.uop.kind == OpKind::Load && ldqUsed_ >= cfg_.ldqSize)
-            return;
-        if (f.uop.kind == OpKind::Store && stqUsed_ >= cfg_.stqSize)
+        if (f.readyCycle > now || dispatchBlocked(f.uop.kind))
             return;
 
         WSEL_ASSERT(f.seq == robTailSeq_,
@@ -416,6 +410,15 @@ DetailedCore::dispatch(std::uint64_t now)
         ++robTailSeq_;
         fetchBuffer_.pop_front();
     }
+}
+
+bool
+DetailedCore::dispatchBlocked(OpKind kind) const
+{
+    return robTailSeq_ - robHeadSeq_ >= cfg_.robSize ||
+           rsQueue_.size() >= cfg_.rsSize ||
+           (kind == OpKind::Load && ldqUsed_ >= cfg_.ldqSize) ||
+           (kind == OpKind::Store && stqUsed_ >= cfg_.stqSize);
 }
 
 // -------------------------------------------------------------------
@@ -532,35 +535,56 @@ DetailedCore::issueIl1Prefetches(std::uint64_t now)
 // Idle-cycle skipping support
 // -------------------------------------------------------------------
 
-std::uint64_t
-DetailedCore::nextEventCycle(std::uint64_t now) const
+void
+DetailedCore::plan(std::uint64_t now)
 {
-    std::uint64_t best = UINT64_MAX;
-    auto consider = [&](std::uint64_t c) {
-        best = std::min(best, std::max(c, now + 1));
+    // Each stage's next chance to work, given the state this tick
+    // left.  A stage waiting on another stage's work (a full fetch
+    // buffer, a branch still to resolve, a producer not yet issued)
+    // adds nothing: that work comes first and re-plans.
+    std::uint64_t work = UINT64_MAX;
+    std::uint64_t legacy = UINT64_MAX;
+    auto both = [&](std::uint64_t c) {
+        work = std::min(work, c);
+        legacy = std::min(legacy, c);
     };
 
-    // Fetch progress.
     if (stalledBranchSeq_ == kNoDep &&
         fetchBuffer_.size() < cfg_.fetchBufferSize)
-        consider(fetchStallUntil_);
+        both(fetchStallUntil_);
 
-    // Dispatch progress.
-    if (!fetchBuffer_.empty())
-        consider(fetchBuffer_.front().readyCycle);
+    // A full ROB/RS/LDQ/STQ holds dispatch until a retire or an
+    // issue frees it.
+    if (!fetchBuffer_.empty()) {
+        const FetchedUop &f = fetchBuffer_.front();
+        legacy = std::min(legacy, f.readyCycle);
+        if (!dispatchBlocked(f.uop.kind))
+            work = std::min(work, f.readyCycle);
+    }
 
-    // Retire progress.
     if (robHeadSeq_ != robTailSeq_) {
         const RobEntry &h = entry(robHeadSeq_);
         if (h.done)
-            consider(h.completion);
+            both(h.completion);
     }
 
-    // Issue progress: entries whose producers are already done
-    // become ready at the producers' completion.
+    // An MSHR frees nothing by itself; it matters only to a load
+    // that misses DL1 while every MSHR is busy.
+    std::uint64_t mshr_free = 0;
+    if (!dl1Mshrs_.empty()) {
+        std::uint64_t first = UINT64_MAX;
+        for (const Dl1Mshr &m : dl1Mshrs_)
+            first = std::min(first, m.completion);
+        legacy = std::min(legacy, first);
+        if (dl1Mshrs_.size() >= cfg_.dl1Mshrs)
+            mshr_free = first;
+    }
+
+    // An RS entry whose producers have all executed is ready at the
+    // last producer's completion.
     for (std::uint64_t seq : rsQueue_) {
         const RobEntry &e = entry(seq);
-        std::uint64_t ready = now + 1;
+        std::uint64_t ready = 0;
         bool known = true;
         for (std::uint64_t dep : {e.dep1Seq, e.dep2Seq}) {
             if (dep == kNoDep || dep < robHeadSeq_)
@@ -572,15 +596,32 @@ DetailedCore::nextEventCycle(std::uint64_t now) const
             }
             ready = std::max(ready, p.completion);
         }
-        if (known)
-            consider(ready);
+        if (!known)
+            continue;
+        legacy = std::min(legacy, ready);
+        if (e.kind == OpKind::Load && ready < mshr_free &&
+            !dl1_.probe(e.addr))
+            ready = mshr_free;
+        work = std::min(work, ready);
     }
 
-    // MSHR frees (for loads blocked on a full MSHR file).
-    for (const Dl1Mshr &m : dl1Mshrs_)
-        consider(m.completion);
+    nextWork_ = work == UINT64_MAX ? work : std::max(work, now + 1);
+    legacyEvent_ = legacy;
+}
 
-    return best;
+std::uint64_t
+DetailedCore::nextEventCycle(std::uint64_t now) const
+{
+    return nextWork_ == UINT64_MAX ? nextWork_
+                                   : std::max(nextWork_, now + 1);
+}
+
+std::uint64_t
+DetailedCore::legacyEventCycle(std::uint64_t now) const
+{
+    return legacyEvent_ == UINT64_MAX
+               ? legacyEvent_
+               : std::max(legacyEvent_, now + 1);
 }
 
 } // namespace wsel

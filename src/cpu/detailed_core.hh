@@ -36,7 +36,6 @@ namespace wsel
 struct CoreStats
 {
     std::uint64_t committed = 0;
-    std::uint64_t cycles = 0;          ///< cycles simulated so far
     std::uint64_t cyclesToTarget = 0;  ///< cycle the target committed
     std::uint64_t branches = 0;
     std::uint64_t branchMispredicts = 0;
@@ -76,17 +75,35 @@ class DetailedCore
     /** Attach an observer of emitted uncore requests (may be null). */
     void setObserver(CoreObserver *obs) { observer_ = obs; }
 
-    /** Advance one cycle; @p now must increase monotonically. */
+    /**
+     * Simulate cycle @p now; @p now must increase monotonically.
+     * Before the cycle nextEventCycle() names this returns at once:
+     * the core cannot change its state there.
+     */
     void tick(std::uint64_t now);
 
     /** True once target_uops µops have committed. */
     bool reachedTarget() const { return stats_.cyclesToTarget != 0; }
 
     /**
-     * Earliest future cycle (> @p now) at which this core could make
-     * progress; used by the multicore driver to skip idle cycles.
+     * The first cycle (> @p now) at which tick() can change this
+     * core's state, or UINT64_MAX if none is in sight.  Exact: only
+     * the core's own work changes its state (other cores' uncore
+     * traffic does not), so a driver of one core may jump to it.
      */
     std::uint64_t nextEventCycle(std::uint64_t now) const;
+
+    /**
+     * The multicore driver's step bound (> @p now), a superset of
+     * nextEventCycle's events: it also counts every DL1 MSHR,
+     * completed or not, and dispatch held back by a full
+     * ROB/RS/LDQ/STQ.  A core that reached its target keeps running
+     * (paper Section IV-A) but is ticked only on cycles its
+     * unfinished siblings step to, so that schedule is part of the
+     * simulated result: DetailedMulticoreSim::run keeps it, and
+     * nothing else should read this.
+     */
+    std::uint64_t legacyEventCycle(std::uint64_t now) const;
 
     const CoreStats &stats() const { return stats_; }
     const CoreConfig &config() const { return cfg_; }
@@ -127,6 +144,8 @@ class DetailedCore
     void issue(std::uint64_t now);
     void dispatch(std::uint64_t now);
     void fetch(std::uint64_t now);
+    void plan(std::uint64_t now);
+    bool dispatchBlocked(OpKind kind) const;
 
     RobEntry &entry(std::uint64_t seq);
     const RobEntry &entry(std::uint64_t seq) const;
@@ -182,6 +201,12 @@ class DetailedCore
     // Most recent blocking uncore request each µop depends on.
     std::vector<std::int64_t> missDepRing_;
     std::int64_t nextRequestIdx_ = 0;
+
+    // Set by plan() after every tick that runs: the next cycle
+    // tick() can work (> that tick's cycle), and the raw minimum of
+    // legacyEventCycle's events.
+    std::uint64_t nextWork_ = 0;
+    std::uint64_t legacyEvent_ = UINT64_MAX;
 
     CoreObserver *observer_ = nullptr;
     CoreStats stats_;

@@ -1,6 +1,7 @@
 #include "sim/hybrid.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -237,19 +238,31 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         for (PolicyKind p : policies)
             ucfgs.push_back(UncoreConfig::forCores(k, p));
 
+        // Batch b holds escalated ordinals [first, first + count);
+        // every batch but the last has batchRows rows.
         const std::uint64_t batches =
             (esc_n + opts.batchRows - 1) / opts.batchRows;
-        std::vector<std::uint64_t> simulated(batches, 0);
-        std::vector<std::uint64_t> resumed(batches, 0);
-        auto run_batch = [&](std::size_t b) {
-            const std::size_t first = static_cast<std::size_t>(
-                b * opts.batchRows);
-            const std::size_t count = std::min<std::size_t>(
+        const std::size_t batch_cells =
+            static_cast<std::size_t>(opts.batchRows) * np;
+        auto batch_first = [&](std::uint64_t b) {
+            return static_cast<std::size_t>(b * opts.batchRows);
+        };
+        auto batch_rows = [&](std::uint64_t b) {
+            return std::min<std::size_t>(
                 static_cast<std::size_t>(opts.batchRows),
-                esc_n - first);
-            const std::string path =
-                fidelity::fidelityBatchPath(out_dir, b);
-            if (opts.resume) {
+                esc_n - batch_first(b));
+        };
+
+        // Resume pass: copy every intact batch, quarantine the
+        // damaged and the stale ones.
+        std::vector<std::uint8_t> resumed(batches, 0);
+        if (opts.resume) {
+            exec::parallel_for(jobs, std::size_t{0}, batches,
+                               [&](std::size_t b) {
+                const std::size_t first = batch_first(b);
+                const std::size_t count = batch_rows(b);
+                const std::string path =
+                    fidelity::fidelityBatchPath(out_dir, b);
                 try {
                     const fidelity::FidelityBatch got =
                         fidelity::readFidelityBatch(out_dir,
@@ -264,7 +277,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                         std::copy(got.ipc.begin(), got.ipc.end(),
                                   det_ipc.begin() +
                                       first * np * k);
-                        resumed[b] = count * np;
+                        resumed[b] = 1;
                         return;
                     }
                     // A well-formed batch for a different
@@ -284,7 +297,30 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                              "; re-simulating");
                     }
                 }
+            });
+        }
+
+        std::vector<std::uint64_t> pending;
+        std::size_t cells_to_run = 0;
+        for (std::uint64_t b = 0; b < batches; ++b) {
+            if (resumed[b]) {
+                result.detailedCellsResumed += batch_rows(b) * np;
+            } else {
+                pending.push_back(b);
+                cells_to_run += batch_rows(b) * np;
             }
+        }
+
+        // One unit per (row, policy) cell of a pending batch, each
+        // writing its own det_ipc slot; the thread that finishes a
+        // batch's last cell writes the batch file.
+        std::vector<std::atomic<std::size_t>> cells_left(
+            pending.size());
+        for (std::size_t i = 0; i < pending.size(); ++i)
+            cells_left[i] = batch_rows(pending[i]) * np;
+        auto commit = [&](std::uint64_t b) {
+            const std::size_t first = batch_first(b);
+            const std::size_t count = batch_rows(b);
             fidelity::FidelityBatch batch;
             batch.detailedFingerprint = detailed_fp;
             batch.index = b;
@@ -293,38 +329,10 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
             batch.numPolicies = static_cast<std::uint32_t>(np);
             batch.ranks.assign(esc_ranks.begin() + first,
                                esc_ranks.begin() + first + count);
-            batch.ipc.assign(count * np * k, 0.0);
-            for (std::size_t r = 0; r < count; ++r) {
-                const std::uint64_t rank = batch.ranks[r];
-                const Workload w = pop.unrank(rank);
-                for (std::size_t p = 0; p < np; ++p) {
-                    persist::faultPoint("fidelity.escalate");
-                    const auto c0 =
-                        std::chrono::steady_clock::now();
-                    const DetailedMulticoreSim sim(
-                        opts.coreCfg, ucfgs[p], k, target_uops,
-                        campaignCellSeed(detailed_fp, opts.seed, p,
-                                         rank));
-                    const SimResult res = sim.run(w, suite);
-                    for (std::uint32_t c = 0; c < k; ++c)
-                        batch.ipc[(r * np + p) * k + c] =
-                            res.ipc[c];
-                    if (obs::metricsEnabled()) {
-                        static obs::LatencyHistogram &detNs =
-                            obs::histogram("fidelity.detailed_ns");
-                        detNs.recordNs(static_cast<std::uint64_t>(
-                            std::chrono::duration<double,
-                                                   std::nano>(
-                                std::chrono::steady_clock::now() -
-                                c0)
-                                .count()));
-                    }
-                }
-            }
+            batch.ipc.assign(
+                det_ipc.begin() + first * np * k,
+                det_ipc.begin() + (first + count) * np * k);
             fidelity::writeFidelityBatch(out_dir, batch);
-            std::copy(batch.ipc.begin(), batch.ipc.end(),
-                      det_ipc.begin() + first * np * k);
-            simulated[b] = count * np;
             if (opts.verbose) {
                 std::ostringstream os;
                 os << "  [hybrid] detailed batch " << (b + 1)
@@ -332,11 +340,35 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 logLine(os.str());
             }
         };
-        exec::parallel_for(jobs, std::size_t{0}, batches, run_batch);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-            result.detailedCellsSimulated += simulated[b];
-            result.detailedCellsResumed += resumed[b];
-        }
+        exec::parallel_for(jobs, std::size_t{0}, cells_to_run,
+                           [&](std::size_t u) {
+            const std::size_t i = u / batch_cells;
+            const std::uint64_t b = pending[i];
+            const std::size_t cell = u % batch_cells;
+            const std::size_t ord = batch_first(b) + cell / np;
+            const std::size_t p = cell % np;
+            const std::uint64_t rank = esc_ranks[ord];
+            persist::faultPoint("fidelity.escalate");
+            const auto c0 = std::chrono::steady_clock::now();
+            const DetailedMulticoreSim sim(
+                opts.coreCfg, ucfgs[p], k, target_uops,
+                campaignCellSeed(detailed_fp, opts.seed, p, rank));
+            const SimResult res = sim.run(pop.unrank(rank), suite);
+            std::copy(res.ipc.begin(), res.ipc.end(),
+                      det_ipc.begin() + (ord * np + p) * k);
+            if (obs::metricsEnabled()) {
+                static obs::LatencyHistogram &detNs =
+                    obs::histogram("fidelity.detailed_ns");
+                detNs.recordNs(static_cast<std::uint64_t>(
+                    std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - c0)
+                        .count()));
+            }
+            // The last cell's thread sees every other cell's IPCs.
+            if (--cells_left[i] == 0)
+                commit(b);
+        });
+        result.detailedCellsSimulated = cells_to_run;
     }
 
     // Phase 4: splice detailed d(w) values over BADCO's and emit

@@ -17,7 +17,9 @@
  *      detailed simulator under both policies, sharing the trace
  *      store, the exec pool and campaignCellSeed with
  *      runDetailedCampaign, batched into resumable checksummed
- *      files.  Kill/resume is bitwise identical to an
+ *      files.  Batches are stored, (row, policy) cells are
+ *      scheduled: the cells of every batch still to simulate fan
+ *      out over the pool.  Kill/resume is bitwise identical to an
  *      uninterrupted run at any --jobs (the `fidelity.escalate`
  *      kill point injects faults per detailed cell).
  *   4. Splice + report — detailed d(w) values replace BADCO's for

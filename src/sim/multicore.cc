@@ -79,6 +79,11 @@ DetailedMulticoreSim::run(
             uncore, k, targetUops_, seed_ + 0x1000 * (k + 1)));
     }
 
+    // The cycles visited are those of the legacy schedule (the
+    // unfinished cores' legacyEventCycle bounds, stepping one cycle
+    // when none is in sight): a finished core does its work on the
+    // first of them at or after its own next work cycle.  The jump
+    // skips only the schedule's cycles on which no core would work.
     std::uint64_t now = 0;
     while (true) {
         bool all_done = true;
@@ -88,14 +93,15 @@ DetailedMulticoreSim::run(
         }
         if (all_done)
             break;
-        // Skip cycles in which no unfinished core can progress.
-        std::uint64_t next = UINT64_MAX;
+        std::uint64_t legacy = UINT64_MAX;
+        std::uint64_t work = UINT64_MAX;
         for (auto &c : coresv) {
-            if (c->reachedTarget())
-                continue;
-            next = std::min(next, c->nextEventCycle(now));
+            work = std::min(work, c->nextEventCycle(now));
+            if (!c->reachedTarget())
+                legacy = std::min(legacy, c->legacyEventCycle(now));
         }
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
+        now = std::max({now + 1, legacy == UINT64_MAX ? now + 1 : legacy,
+                        work == UINT64_MAX ? now + 1 : work});
     }
 
     SimResult res;

@@ -440,6 +440,7 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
                             Clock::now() - t0)
                             .count();
 
+    st.wallSeconds = wall;
     for (std::size_t i = 0; i < pending.size(); ++i) {
         st.cellsSimulated += m.rowsInShard(pending[i]) * np;
         ++st.shardsWritten;
@@ -532,6 +533,10 @@ runBadcoPopulationCampaign(
         m.shardCount());
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
+    const double setup_seconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() -
+                                     t0)
+                                     .count();
     const ShardLoopStats st = runV3Shards(
         m, out_dir, jobs, opts.verbose, "population",
         [&](std::uint64_t s, std::uint64_t row_begin,
@@ -563,6 +568,8 @@ runBadcoPopulationCampaign(
     result.cellsResumed = st.cellsResumed;
     result.shardsWritten = st.shardsWritten;
     result.shardsResumed = st.shardsResumed;
+    result.setupSeconds = setup_seconds;
+    result.passSeconds = st.wallSeconds;
     m.simSeconds = st.simSeconds;
     // Instructions describe the whole artifact (resumed shards
     // included); simSeconds is this run's simulation wall only.

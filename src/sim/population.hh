@@ -152,13 +152,18 @@ struct PopulationResult
 
     /** Wall seconds of this run (excludes resumed shards' work). */
     double wallSeconds = 0.0;
+    /** Of wallSeconds: set-up (BADCO models, reference IPCs). */
+    double setupSeconds = 0.0;
+    /** Of wallSeconds: the shard pass (resume, simulate, commit). */
+    double passSeconds = 0.0;
 
+    /** Cells simulated per second of the shard pass. */
     double
     cellsPerSec() const
     {
-        return wallSeconds > 0.0
+        return passSeconds > 0.0
                    ? static_cast<double>(cellsSimulated) /
-                         wallSeconds
+                         passSeconds
                    : 0.0;
     }
 };
@@ -266,6 +271,8 @@ struct ShardLoopStats
     std::uint64_t shardsResumed = 0;
     /** Summed row and commit wall time of the simulated shards. */
     double simSeconds = 0.0;
+    /** Wall seconds of the whole pass. */
+    double wallSeconds = 0.0;
 };
 
 /**

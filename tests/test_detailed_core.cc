@@ -52,35 +52,49 @@ TEST(DetailedCore, DeterministicAcrossRuns)
 TEST(DetailedCore, IdleSkippingPreservesTiming)
 {
     // Driving the core with nextEventCycle() jumps must produce the
-    // exact same cycle count as stepping every cycle.
-    const BenchmarkProfile p = test::heavyProfile();
-    UncoreConfig ucfg = UncoreConfig::forCores(4, PolicyKind::LRU);
-    CoreConfig ccfg;
+    // exact same timing as stepping every cycle.  The small core (a
+    // 2-entry MSHR file, small ROB/RS/LDQ/STQ) makes the cases the
+    // next work cycle leaves out common: loads that miss DL1 while
+    // every MSHR is busy, and dispatch held by a full structure.
+    CoreConfig small;
+    small.dl1Mshrs = 2;
+    small.robSize = 32;
+    small.rsSize = 8;
+    small.ldqSize = 4;
+    small.stqSize = 4;
+    const UncoreConfig ucfg = UncoreConfig::forCores(4, PolicyKind::LRU);
     const std::uint64_t target = 8000;
+    for (const CoreConfig &ccfg : {CoreConfig{}, small}) {
+        for (const BenchmarkProfile &p :
+             {test::heavyProfile(), test::lightProfile()}) {
+            Uncore u1(ucfg, 1, 5);
+            DetailedCore skip(ccfg, TraceStore::global().cursor(p), u1,
+                              0, target, 1);
+            std::uint64_t now = 0;
+            while (!skip.reachedTarget()) {
+                skip.tick(now);
+                const std::uint64_t next = skip.nextEventCycle(now);
+                ASSERT_NE(next, UINT64_MAX);
+                now = std::max(now + 1, next);
+            }
 
-    Uncore u1(ucfg, 1, 5);
-    DetailedCore skip(ccfg, TraceStore::global().cursor(p), u1, 0,
-                      target, 1);
-    std::uint64_t now = 0;
-    while (!skip.reachedTarget()) {
-        skip.tick(now);
-        const std::uint64_t next = skip.nextEventCycle(now);
-        now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
+            Uncore u2(ucfg, 1, 5);
+            DetailedCore step(ccfg, TraceStore::global().cursor(p), u2,
+                              0, target, 1);
+            for (now = 0; !step.reachedTarget(); ++now)
+                step.tick(now);
+
+            const CoreStats &a = skip.stats();
+            const CoreStats &b = step.stats();
+            EXPECT_EQ(a.cyclesToTarget, b.cyclesToTarget) << p.name;
+            EXPECT_EQ(a.committed, b.committed) << p.name;
+            EXPECT_EQ(a.dl1Misses, b.dl1Misses) << p.name;
+            EXPECT_EQ(a.uncoreLoads, b.uncoreLoads) << p.name;
+            EXPECT_EQ(a.uncorePrefetches, b.uncorePrefetches) << p.name;
+            EXPECT_EQ(a.branchMispredicts, b.branchMispredicts)
+                << p.name;
+        }
     }
-
-    Uncore u2(ucfg, 1, 5);
-    DetailedCore step(ccfg, TraceStore::global().cursor(p), u2, 0,
-                      target, 1);
-    now = 0;
-    while (!step.reachedTarget()) {
-        step.tick(now);
-        ++now;
-    }
-
-    EXPECT_EQ(skip.stats().cyclesToTarget,
-              step.stats().cyclesToTarget);
-    EXPECT_EQ(skip.stats().dl1Misses, step.stats().dl1Misses);
-    EXPECT_EQ(skip.stats().uncoreLoads, step.stats().uncoreLoads);
 }
 
 TEST(DetailedCore, SlowerUncoreMeansMoreCycles)

@@ -79,7 +79,8 @@ class HybridCampaign : public ::testing::Test
      * deterministic for the resilience tests.
      */
     HybridResult
-    run(const std::string &out, std::size_t jobs = 1)
+    run(const std::string &out, std::size_t jobs = 1,
+        std::uint64_t batch_rows = 2)
     {
         const auto suite = testSuite();
         const WorkloadPopulation pop(
@@ -89,7 +90,7 @@ class HybridCampaign : public ::testing::Test
         HybridOptions opts;
         opts.jobs = jobs;
         opts.shardCells = 8;
-        opts.batchRows = 2;
+        opts.batchRows = batch_rows;
         return runHybridCampaign(pop, PolicyKind::LRU,
                                  PolicyKind::DIP,
                                  ThroughputMetric::IPCT, kUops,
@@ -102,7 +103,8 @@ class HybridCampaign : public ::testing::Test
      * one legitimately timing-dependent file.
      */
     std::vector<std::pair<std::string, std::string>>
-    artifactBytes(const std::string &out, const HybridResult &r)
+    artifactBytes(const std::string &out, const HybridResult &r,
+                  std::uint64_t batch_rows)
     {
         std::vector<std::pair<std::string, std::string>> files;
         for (std::uint64_t s = 0; s < r.manifest.shardCount(); ++s)
@@ -113,7 +115,7 @@ class HybridCampaign : public ::testing::Test
                            test::readFile(
                                fidelity::escalationRecordPath(out)));
         const std::uint64_t batches =
-            (r.escalation.escalatedCount + 1) / 2; // batchRows = 2
+            (r.escalation.escalatedCount + batch_rows - 1) / batch_rows;
         for (std::uint64_t b = 0; b < batches; ++b)
             files.emplace_back(
                 fidelity::fidelityBatchName(b),
@@ -128,10 +130,11 @@ class HybridCampaign : public ::testing::Test
     expectIdenticalArtifacts(const std::string &a,
                              const HybridResult &ra,
                              const std::string &b,
-                             const HybridResult &rb)
+                             const HybridResult &rb,
+                             std::uint64_t batch_rows = 2)
     {
-        const auto fa = artifactBytes(a, ra);
-        const auto fb = artifactBytes(b, rb);
+        const auto fa = artifactBytes(a, ra, batch_rows);
+        const auto fb = artifactBytes(b, rb, batch_rows);
         ASSERT_EQ(fa.size(), fb.size());
         for (std::size_t i = 0; i < fa.size(); ++i) {
             EXPECT_EQ(fa[i].first, fb[i].first);
@@ -208,6 +211,42 @@ TEST_F(HybridCampaign, KillMidEscalationResumesIdentical)
     EXPECT_EQ(r2.detailedCellsResumed, 4u);  // batch 0 survives
     EXPECT_EQ(r2.detailedCellsSimulated, 4u); // batch 1 redone
     EXPECT_EQ(r2.badco.cellsSimulated, 0u);  // phase 1 resumed
+    expectIdenticalArtifacts(ref, rr, out, r2);
+}
+
+TEST_F(HybridCampaign, OneBatchFansOutAcrossJobs)
+{
+    // All 4 escalated rows land in one batch; its 8 cells still fan
+    // out over the pool, and the batch file is the same bytes.
+    const std::string serial = path("serial");
+    const std::string parallel = path("parallel");
+    const HybridResult rs = run(serial, 1, 64);
+    const HybridResult rp = run(parallel, 4, 64);
+    ASSERT_EQ(rs.escalation.escalatedCount, 4u);
+    EXPECT_EQ(rp.detailedCellsSimulated, 4u * 2u);
+    EXPECT_TRUE(fs::exists(fidelity::fidelityBatchPath(parallel, 0)));
+    EXPECT_FALSE(fs::exists(fidelity::fidelityBatchPath(parallel, 1)));
+    expectIdenticalArtifacts(serial, rs, parallel, rp, 64);
+}
+
+TEST_F(HybridCampaign, KillAtJobs4ResumesAtJobs1Identical)
+{
+    const std::string ref = path("ref");
+    const HybridResult rr = run(ref);
+
+    // Die at the 5th escalated cell to start, with up to 4 cells in
+    // flight: whichever batches the killed run wrote are final.
+    const std::string out = path("v3");
+    {
+        test::FaultInjector fi("fidelity.escalate", 5);
+        EXPECT_THROW(run(out, 4), test::InjectedFault);
+    }
+    EXPECT_FALSE(fidelity::hasHybridReport(out));
+
+    const HybridResult r2 = run(out, 1);
+    EXPECT_EQ(r2.detailedCellsResumed + r2.detailedCellsSimulated,
+              4u * 2u);
+    EXPECT_EQ(r2.badco.cellsSimulated, 0u);
     expectIdenticalArtifacts(ref, rr, out, r2);
 }
 

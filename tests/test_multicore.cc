@@ -4,15 +4,21 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "cpu/detailed_core.hh"
+#include "mem/uncore.hh"
 #include "sim/model_store.hh"
 #include "sim/multicore.hh"
 #include "stats/logging.hh"
+#include "stats/persist.hh"
 #include "test_util.hh"
+#include "trace/trace_store.hh"
 
 namespace wsel
 {
@@ -101,6 +107,119 @@ TEST(DetailedMulticore, RejectsMismatchedWorkload)
     DetailedMulticoreSim sim(CoreConfig{}, ucfg, 2, 1000);
     EXPECT_THROW(sim.run(Workload({0, 1, 2}), suite), FatalError);
     EXPECT_THROW(sim.run(Workload({0, 9}), suite), FatalError);
+}
+
+namespace
+{
+
+/** The golden sweep's workload @p j on @p cores cores. */
+Workload
+goldenWorkload(std::uint32_t cores, std::uint32_t j)
+{
+    std::vector<std::uint32_t> b(cores);
+    for (std::uint32_t c = 0; c < cores; ++c)
+        b[c] = (c * (j + 1) + j) % 3;
+    return Workload(b);
+}
+
+void
+digestResult(persist::Fnv1a &h, const SimResult &r)
+{
+    for (double ipc : r.ipc)
+        h.updateU64(std::bit_cast<std::uint64_t>(ipc));
+    h.updateU64(r.cycles);
+    for (std::uint64_t m : r.llcDemandMisses)
+        h.updateU64(m);
+}
+
+} // namespace
+
+// The detailed simulator's timing is a contract: every escalated
+// cell, calibration point and BADCO model is built from it.  The
+// constants were computed by the simulator that stepped its cores
+// on every cycle any unfinished core's legacy next-event bound
+// named, before idle-cycle skipping became exact.
+TEST(DetailedMulticore, GoldenDigestAcrossCoresAndPolicies)
+{
+    const auto suite = testSuite();
+    const std::uint64_t target = 2000;
+    persist::Fnv1a runs;
+    persist::Fnv1a refs;
+    for (std::uint32_t cores : {1u, 2u, 4u, 8u}) {
+        for (PolicyKind p : paperPolicies()) {
+            const UncoreConfig ucfg = UncoreConfig::forCores(cores, p);
+            for (std::uint32_t j = 0; j < 2; ++j) {
+                const DetailedMulticoreSim sim(CoreConfig{}, ucfg,
+                                               cores, target, 17 + j);
+                digestResult(runs,
+                             sim.run(goldenWorkload(cores, j), suite));
+            }
+        }
+        const UncoreConfig lru =
+            UncoreConfig::forCores(cores, PolicyKind::LRU);
+        const DetailedMulticoreSim sim(CoreConfig{}, lru, cores,
+                                       target, 5);
+        for (double r : sim.referenceIpcs(suite, 2))
+            refs.updateU64(std::bit_cast<std::uint64_t>(r));
+    }
+    EXPECT_EQ(runs.digest(), 0xae30b5322f5db717ULL)
+        << std::hex << runs.digest();
+    EXPECT_EQ(refs.digest(), 0x34a8d165b44e922cULL)
+        << std::hex << refs.digest();
+}
+
+TEST(DetailedMulticore, IdleSkippingPreservesTiming)
+{
+    // run() jumps over the cycles on which no core would work; the
+    // result must equal this copy of the driver loop that visits
+    // every cycle of the unfinished cores' legacy schedule.
+    const auto suite = testSuite();
+    const std::uint64_t target = 3000;
+    const std::uint64_t seed = 9;
+    for (PolicyKind p : {PolicyKind::LRU, PolicyKind::DIP}) {
+        const UncoreConfig ucfg = UncoreConfig::forCores(4, p);
+        for (const Workload &w : {Workload({0, 1, 2, 1}),
+                                  Workload({1, 1, 0, 0}),
+                                  Workload({2, 0, 0, 1})}) {
+            Uncore uncore(ucfg, 4, seed);
+            std::vector<std::unique_ptr<DetailedCore>> cores;
+            for (std::uint32_t k = 0; k < 4; ++k)
+                cores.push_back(std::make_unique<DetailedCore>(
+                    CoreConfig{},
+                    TraceStore::global().cursor(suite[w[k]]), uncore,
+                    k, target, seed + 0x1000 * (k + 1)));
+            std::uint64_t now = 0;
+            while (true) {
+                bool all_done = true;
+                for (auto &c : cores) {
+                    c->tick(now);
+                    all_done = all_done && c->reachedTarget();
+                }
+                if (all_done)
+                    break;
+                std::uint64_t next = UINT64_MAX;
+                for (auto &c : cores)
+                    if (!c->reachedTarget())
+                        next = std::min(next, c->legacyEventCycle(now));
+                now = std::max(now + 1,
+                               next == UINT64_MAX ? now + 1 : next);
+            }
+
+            const DetailedMulticoreSim sim(CoreConfig{}, ucfg, 4,
+                                           target, seed);
+            const SimResult r = sim.run(w, suite);
+            std::uint64_t cycles = 0;
+            for (std::uint32_t k = 0; k < 4; ++k) {
+                EXPECT_EQ(r.ipc[k], cores[k]->ipc()) << k;
+                EXPECT_EQ(r.llcDemandMisses[k],
+                          uncore.coreStats(k).demandMisses)
+                    << k;
+                cycles = std::max(cycles,
+                                  cores[k]->stats().cyclesToTarget);
+            }
+            EXPECT_EQ(r.cycles, cycles);
+        }
+    }
 }
 
 TEST(BadcoMulticore, RunsAndIsDeterministic)

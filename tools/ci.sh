@@ -42,8 +42,9 @@
 #
 # The mixed-fidelity layer (docs/FIDELITY.md) gets a smoke on every
 # sanitizer preset — calibrate, SIGKILL a hybrid campaign at the
-# `fidelity.escalate` kill point, resume to a committed report —
-# and the release leg archives hybrid_fidelity's escalation-budget
+# `fidelity.escalate` kill point, resume to a committed report, then
+# a --jobs 1 vs --jobs 4 twin whose fidelity batches, bitmap, shards
+# and hybrid.bin are byte-compared — and the release leg archives hybrid_fidelity's escalation-budget
 # vs ranking-accuracy sweep to build-release/BENCH_hybrid.json.
 #
 # The release leg also reruns the whole test suite three times at
@@ -181,8 +182,29 @@ for preset in $presets; do
             --budget-frac 0.25 --batch-rows 2 --jobs 4 \
             --batch-cells 8
         test -s "$hybdir/run/hybrid.bin"
+        # Escalated cells fan out per (row, policy) over the pool and
+        # the thread finishing a batch's last cell writes it: 4-row
+        # batches at --jobs 4 must match --jobs 1 byte for byte.
+        # Each run learns into its own copy of the same profile.
+        for jobs in 1 4; do
+            cp "$hybdir/cache/error_profile.bin" "$hybdir/profile-j$jobs.bin"
+            WSEL_CACHE_DIR="$hybdir/cache" \
+                "./$bindir/tools/wsel_cli" hybrid \
+                --out "$hybdir/run-j$jobs" \
+                --profile "$hybdir/profile-j$jobs.bin" \
+                --insns 5000 --cores 2 --limit 24 \
+                --budget-frac 0.25 --batch-rows 4 --jobs "$jobs" \
+                --batch-cells 8
+            test -s "$hybdir/run-j$jobs/hybrid.bin"
+        done
+        test -s "$hybdir/run-j1/fidelity-batch-000000.bin"
+        for f in "$hybdir"/run-j1/fidelity-*.bin \
+                 "$hybdir"/run-j1/shard-*.bin \
+                 "$hybdir/run-j1/hybrid.bin"; do
+            cmp "$f" "$hybdir/run-j4/${f##*/}"
+        done
         rm -rf "$hybdir"
-        echo "==> hybrid smoke passed under $preset"
+        echo "==> hybrid smoke (kill/resume + jobs 1 vs 4) passed under $preset"
 
         # Distributed campaign smoke (docs/ROBUSTNESS.md): a
         # wsel_serve daemon, four workers — one of which SIGKILLs

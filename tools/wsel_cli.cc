@@ -885,12 +885,12 @@ cmdPopulation(const Args &args)
     }
     std::printf("\n%llu cells simulated (%llu resumed), "
                 "%llu shards written (%llu reused), "
-                "%.0f cells/sec, %.1f MiB\n",
+                "%.0f cells/sec after %.2f s set-up, %.1f MiB\n",
                 static_cast<unsigned long long>(r.cellsSimulated),
                 static_cast<unsigned long long>(r.cellsResumed),
                 static_cast<unsigned long long>(r.shardsWritten),
                 static_cast<unsigned long long>(r.shardsResumed),
-                r.cellsPerSec(),
+                r.cellsPerSec(), r.setupSeconds,
                 static_cast<double>(r.manifest.rows() *
                                     policies.size() * cores * 8) /
                     (1024.0 * 1024.0));
