@@ -242,7 +242,7 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         // every batch but the last has batchRows rows.
         const std::uint64_t batches =
             (esc_n + opts.batchRows - 1) / opts.batchRows;
-        const std::size_t batch_cells =
+        const std::size_t cells_per_batch =
             static_cast<std::size_t>(opts.batchRows) * np;
         auto batch_first = [&](std::uint64_t b) {
             return static_cast<std::size_t>(b * opts.batchRows);
@@ -342,9 +342,9 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         };
         exec::parallel_for(jobs, std::size_t{0}, cells_to_run,
                            [&](std::size_t u) {
-            const std::size_t i = u / batch_cells;
+            const std::size_t i = u / cells_per_batch;
             const std::uint64_t b = pending[i];
-            const std::size_t cell = u % batch_cells;
+            const std::size_t cell = u % cells_per_batch;
             const std::size_t ord = batch_first(b) + cell / np;
             const std::size_t p = cell % np;
             const std::uint64_t rank = esc_ranks[ord];
