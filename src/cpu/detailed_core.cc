@@ -112,8 +112,13 @@ DetailedCore::emitEvent(const UncoreRequestEvent &ev)
 void
 DetailedCore::tick(std::uint64_t now)
 {
-    if (now < nextWork_)
-        return;
+    if (now >= nextWork_)
+        work(now);
+}
+
+void
+DetailedCore::work(std::uint64_t now)
+{
     retire(now);
     issue(now);
     dispatch(now);

@@ -32,6 +32,11 @@
 namespace wsel
 {
 
+namespace test
+{
+struct DetailedCoreAccess;
+} // namespace test
+
 /** Counters exposed by a DetailedCore. */
 struct CoreStats
 {
@@ -113,6 +118,10 @@ class DetailedCore
     double ipc() const { return stats_.ipc(targetUops_); }
 
   private:
+    // Tests drive work() on every cycle as the reference tick() must
+    // match.
+    friend struct test::DetailedCoreAccess;
+
     struct RobEntry
     {
         std::uint64_t seq = 0;
@@ -140,6 +149,8 @@ class DetailedCore
     static constexpr std::uint64_t kNoDep = UINT64_MAX;
     static constexpr std::size_t kDepRing = 256;
 
+    /** One cycle's stages and plan(), without tick()'s gate. */
+    void work(std::uint64_t now);
     void retire(std::uint64_t now);
     void issue(std::uint64_t now);
     void dispatch(std::uint64_t now);

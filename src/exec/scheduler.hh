@@ -26,8 +26,10 @@
 #define WSEL_EXEC_SCHEDULER_HH
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -148,6 +150,58 @@ parallel_for(std::size_t jobs, std::size_t begin, std::size_t end,
     }
     ThreadPool pool(workers);
     parallel_for(pool, begin, end, fn);
+}
+
+/**
+ * Run the cells of stored units (campaign shards, fidelity batches):
+ * the unit is resumed and written whole, the cell is scheduled.
+ *
+ *  1. try_resume(u) for every unit u in [0, @p units), in parallel;
+ *     it returns true when u was restored from storage.
+ *  2. One parallel_for(@p jobs, ...) over the cells of every unit
+ *     not resumed, in unit-then-cell order: run_cell(u, c) for c in
+ *     [0, cells_in(u)), cells_in(u) > 0.  The thread that finishes a
+ *     unit's last cell calls commit(u), which sees every cell's
+ *     writes.
+ *
+ * At one job everything runs inline: every try_resume in unit
+ * order, then the cells in order, each unit committed right after
+ * its last cell.  Returns the units not resumed, ascending.
+ */
+template <typename CellsIn, typename TryResume, typename RunCell,
+          typename Commit>
+std::vector<std::size_t>
+fanOutStored(std::size_t jobs, std::size_t units, CellsIn &&cells_in,
+             TryResume &&try_resume, RunCell &&run_cell,
+             Commit &&commit)
+{
+    std::vector<std::uint8_t> resumed(units, 0);
+    parallel_for(jobs, std::size_t{0}, units, [&](std::size_t u) {
+        resumed[u] = try_resume(u) ? 1 : 0;
+    });
+
+    // Pending unit i owns cells [first[i], first[i + 1]).
+    std::vector<std::size_t> pending;
+    std::vector<std::size_t> first{0};
+    for (std::size_t u = 0; u < units; ++u) {
+        if (!resumed[u]) {
+            pending.push_back(u);
+            first.push_back(first.back() + cells_in(u));
+        }
+    }
+    std::vector<std::atomic<std::size_t>> left(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        left[i] = first[i + 1] - first[i];
+
+    parallel_for(jobs, std::size_t{0}, first.back(), [&](std::size_t x) {
+        const std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(first.begin(), first.end(), x) -
+            first.begin() - 1);
+        run_cell(pending[i], x - first[i]);
+        if (--left[i] == 0)
+            commit(pending[i]);
+    });
+    return pending;
 }
 
 } // namespace wsel::exec

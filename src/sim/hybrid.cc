@@ -1,7 +1,6 @@
 #include "sim/hybrid.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -242,8 +241,6 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
         // every batch but the last has batchRows rows.
         const std::uint64_t batches =
             (esc_n + opts.batchRows - 1) / opts.batchRows;
-        const std::size_t cells_per_batch =
-            static_cast<std::size_t>(opts.batchRows) * np;
         auto batch_first = [&](std::uint64_t b) {
             return static_cast<std::size_t>(b * opts.batchRows);
         };
@@ -253,100 +250,52 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                 esc_n - batch_first(b));
         };
 
-        // Resume pass: copy every intact batch, quarantine the
-        // damaged and the stale ones.
-        std::vector<std::uint8_t> resumed(batches, 0);
-        if (opts.resume) {
-            exec::parallel_for(jobs, std::size_t{0}, batches,
-                               [&](std::size_t b) {
-                const std::size_t first = batch_first(b);
-                const std::size_t count = batch_rows(b);
-                const std::string path =
-                    fidelity::fidelityBatchPath(out_dir, b);
-                try {
-                    const fidelity::FidelityBatch got =
-                        fidelity::readFidelityBatch(out_dir,
-                                                    detailed_fp, b);
-                    if (got.cores == k &&
-                        got.numPolicies == np &&
-                        got.firstOrdinal == first &&
-                        got.ranks.size() == count &&
-                        std::equal(got.ranks.begin(),
-                                   got.ranks.end(),
-                                   esc_ranks.begin() + first)) {
-                        std::copy(got.ipc.begin(), got.ipc.end(),
-                                  det_ipc.begin() +
-                                      first * np * k);
-                        resumed[b] = 1;
-                        return;
-                    }
-                    // A well-formed batch for a different
-                    // escalation set is stale, not corrupt.
-                    persist::quarantineFile(path);
-                    warn("stale fidelity batch " + path +
-                         "; re-simulating");
-                } catch (const persist::CacheInvalid &e) {
-                    if (fs::exists(path)) {
-                        const std::string moved =
-                            persist::quarantineFile(path);
-                        warn("corrupt fidelity batch " + path +
-                             " (" + e.what() + ")" +
-                             (moved.empty()
-                                  ? ""
-                                  : "; quarantined to " + moved) +
-                             "; re-simulating");
-                    }
-                }
-            });
-        }
-
-        std::vector<std::uint64_t> pending;
-        std::size_t cells_to_run = 0;
-        for (std::uint64_t b = 0; b < batches; ++b) {
-            if (resumed[b]) {
-                result.detailedCellsResumed += batch_rows(b) * np;
-            } else {
-                pending.push_back(b);
-                cells_to_run += batch_rows(b) * np;
-            }
-        }
-
-        // One unit per (row, policy) cell of a pending batch, each
-        // writing its own det_ipc slot; the thread that finishes a
-        // batch's last cell writes the batch file.
-        std::vector<std::atomic<std::size_t>> cells_left(
-            pending.size());
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            cells_left[i] = batch_rows(pending[i]) * np;
-        auto commit = [&](std::uint64_t b) {
+        // Resume: copy every intact batch, quarantine the damaged
+        // and the stale ones.
+        auto try_resume = [&](std::size_t b) {
+            if (!opts.resume)
+                return false;
             const std::size_t first = batch_first(b);
             const std::size_t count = batch_rows(b);
-            fidelity::FidelityBatch batch;
-            batch.detailedFingerprint = detailed_fp;
-            batch.index = b;
-            batch.firstOrdinal = first;
-            batch.cores = k;
-            batch.numPolicies = static_cast<std::uint32_t>(np);
-            batch.ranks.assign(esc_ranks.begin() + first,
-                               esc_ranks.begin() + first + count);
-            batch.ipc.assign(
-                det_ipc.begin() + first * np * k,
-                det_ipc.begin() + (first + count) * np * k);
-            fidelity::writeFidelityBatch(out_dir, batch);
-            if (opts.verbose) {
-                std::ostringstream os;
-                os << "  [hybrid] detailed batch " << (b + 1)
-                   << "/" << batches << " (" << count << " rows)";
-                logLine(os.str());
+            const std::string path =
+                fidelity::fidelityBatchPath(out_dir, b);
+            try {
+                const fidelity::FidelityBatch got =
+                    fidelity::readFidelityBatch(out_dir, detailed_fp,
+                                                b);
+                if (got.cores == k && got.numPolicies == np &&
+                    got.firstOrdinal == first &&
+                    got.ranks.size() == count &&
+                    std::equal(got.ranks.begin(), got.ranks.end(),
+                               esc_ranks.begin() + first)) {
+                    std::copy(got.ipc.begin(), got.ipc.end(),
+                              det_ipc.begin() + first * np * k);
+                    return true;
+                }
+                // A well-formed batch for a different escalation
+                // set is stale, not corrupt.
+                persist::quarantineFile(path);
+                warn("stale fidelity batch " + path +
+                     "; re-simulating");
+            } catch (const persist::CacheInvalid &e) {
+                if (fs::exists(path)) {
+                    const std::string moved =
+                        persist::quarantineFile(path);
+                    warn("corrupt fidelity batch " + path + " (" +
+                         e.what() + ")" +
+                         (moved.empty() ? ""
+                                        : "; quarantined to " + moved) +
+                         "; re-simulating");
+                }
             }
+            return false;
         };
-        exec::parallel_for(jobs, std::size_t{0}, cells_to_run,
-                           [&](std::size_t u) {
-            const std::size_t i = u / cells_per_batch;
-            const std::uint64_t b = pending[i];
-            const std::size_t cell = u % cells_per_batch;
-            const std::size_t ord = batch_first(b) + cell / np;
-            const std::size_t p = cell % np;
+
+        // Cell c of batch b is policy c % np of its row c / np; it
+        // writes its own det_ipc slot.
+        auto run_cell = [&](std::size_t b, std::size_t c) {
+            const std::size_t ord = batch_first(b) + c / np;
+            const std::size_t p = c % np;
             const std::uint64_t rank = esc_ranks[ord];
             persist::faultPoint("fidelity.escalate");
             const auto c0 = std::chrono::steady_clock::now();
@@ -364,11 +313,39 @@ runHybridCampaign(const WorkloadPopulation &pop, PolicyKind x,
                         std::chrono::steady_clock::now() - c0)
                         .count()));
             }
-            // The last cell's thread sees every other cell's IPCs.
-            if (--cells_left[i] == 0)
-                commit(b);
-        });
-        result.detailedCellsSimulated = cells_to_run;
+        };
+
+        auto commit = [&](std::size_t b) {
+            const std::size_t first = batch_first(b);
+            const std::size_t count = batch_rows(b);
+            fidelity::FidelityBatch batch;
+            batch.detailedFingerprint = detailed_fp;
+            batch.index = b;
+            batch.firstOrdinal = first;
+            batch.cores = k;
+            batch.numPolicies = static_cast<std::uint32_t>(np);
+            batch.ranks.assign(esc_ranks.begin() + first,
+                               esc_ranks.begin() + first + count);
+            batch.ipc.assign(
+                det_ipc.begin() + first * np * k,
+                det_ipc.begin() + (first + count) * np * k);
+            fidelity::writeFidelityBatch(out_dir, batch);
+            if (opts.verbose) {
+                std::ostringstream os;
+                os << "  [hybrid] detailed batch " << (b + 1) << "/"
+                   << batches << " (" << count << " rows)";
+                logLine(os.str());
+            }
+        };
+
+        const std::vector<std::size_t> simulated = exec::fanOutStored(
+            jobs, batches,
+            [&](std::size_t b) { return batch_rows(b) * np; },
+            try_resume, run_cell, commit);
+        for (std::size_t b : simulated)
+            result.detailedCellsSimulated += batch_rows(b) * np;
+        result.detailedCellsResumed =
+            esc_n * np - result.detailedCellsSimulated;
     }
 
     // Phase 4: splice detailed d(w) values over BADCO's and emit

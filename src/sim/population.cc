@@ -311,50 +311,6 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
             WSEL_FATAL("cannot create campaign directory "
                        << dir << ": " << ec.message());
     }
-    const auto t0 = Clock::now();
-
-    // Resume pass: hand every intact shard to consume, quarantine
-    // the damaged ones.
-    std::vector<std::uint8_t> resumed(shards, 0);
-    if (!dir.empty()) {
-        exec::parallel_for(jobs, std::size_t{0}, shards,
-                           [&](std::size_t s) {
-            const std::string shard_path =
-                persist::v3ShardPath(dir, s);
-            try {
-                const std::vector<double> payload =
-                    persist::readV3Shard(dir, m, s);
-                consume(s, {payload.data(), payload.size()});
-                resumed[s] = 1;
-                obs::counter(runner + ".cells_resumed")
-                    .inc(m.rowsInShard(s) * np);
-            } catch (const persist::CacheInvalid &e) {
-                if (fs::exists(shard_path)) {
-                    const std::string moved =
-                        persist::quarantineFile(shard_path);
-                    warn("corrupt campaign shard " + shard_path +
-                         " (" + e.what() + ")" +
-                         (moved.empty()
-                              ? ""
-                              : "; quarantined to " + moved) +
-                         "; re-simulating");
-                }
-            }
-        });
-    }
-
-    ShardLoopStats st;
-    std::vector<std::uint64_t> pending;
-    std::uint64_t rows = 0;
-    for (std::uint64_t s = 0; s < shards; ++s) {
-        if (resumed[s]) {
-            st.cellsResumed += m.rowsInShard(s) * np;
-            ++st.shardsResumed;
-        } else {
-            pending.push_back(s);
-            rows += m.rowsInShard(s);
-        }
-    }
 
     // A shard still to simulate, from its first claimed row to its
     // commit.
@@ -362,22 +318,65 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
     {
         std::once_flag opened;
         std::vector<double> payload;
-        std::atomic<std::uint64_t> rowsLeft{0};
         std::atomic<std::uint64_t> busyNs{0}; ///< rows + commit
     };
-    std::vector<OpenShard> open(pending.size());
+    std::vector<OpenShard> open(shards);
 
     obs::Gauge *progress = obs::metricsEnabled()
                                ? &obs::gauge(runner + ".progress")
                                : nullptr;
-    std::mutex progress_mu;
-    std::uint64_t rows_done = 0;
     if (progress)
-        progress->set(rows == 0 ? 1.0 : 0.0);
+        progress->set(0.0);
+    std::mutex progress_mu;
+    std::atomic<std::uint64_t> rows_resumed{0};
+    std::uint64_t rows_done = 0;
 
-    auto commit = [&](std::size_t i) {
-        const std::uint64_t s = pending[i];
-        OpenShard &o = open[i];
+    // Resume: hand every intact shard to consume, quarantine the
+    // damaged ones.
+    auto try_resume = [&](std::size_t s) {
+        if (dir.empty())
+            return false;
+        const std::string shard_path = persist::v3ShardPath(dir, s);
+        try {
+            const std::vector<double> payload =
+                persist::readV3Shard(dir, m, s);
+            consume(s, {payload.data(), payload.size()});
+            rows_resumed += m.rowsInShard(s);
+            obs::counter(runner + ".cells_resumed")
+                .inc(m.rowsInShard(s) * np);
+            return true;
+        } catch (const persist::CacheInvalid &e) {
+            if (fs::exists(shard_path)) {
+                const std::string moved =
+                    persist::quarantineFile(shard_path);
+                warn("corrupt campaign shard " + shard_path + " (" +
+                     e.what() + ")" +
+                     (moved.empty() ? ""
+                                    : "; quarantined to " + moved) +
+                     "; re-simulating");
+            }
+            return false;
+        }
+    };
+
+    auto run_row = [&](std::size_t s, std::size_t row) {
+        OpenShard &o = open[s];
+        const auto r0 = Clock::now();
+        std::call_once(o.opened, [&] {
+            o.payload.assign(m.rowsInShard(s) * row_cells, 0.0);
+        });
+        simulate(s, row, row + 1,
+                 {o.payload.data() + row * row_cells, row_cells});
+        o.busyNs += nanosSince(r0);
+        if (progress) {
+            std::lock_guard<std::mutex> g(progress_mu);
+            progress->set(static_cast<double>(++rows_done) /
+                          static_cast<double>(m.rows() - rows_resumed));
+        }
+    };
+
+    auto commit = [&](std::size_t s) {
+        OpenShard &o = open[s];
         const std::uint64_t cells = m.rowsInShard(s) * np;
         const auto c0 = Clock::now();
         {
@@ -411,41 +410,25 @@ runV3Shards(const persist::V3Manifest &m, const std::string &dir,
         }
     };
 
-    // Unit u is row u % shardRows of pending shard u / shardRows:
-    // every shard but the manifest's last has shardRows rows, and
-    // that one, when pending, comes last.
-    exec::parallel_for(jobs, std::size_t{0}, rows, [&](std::size_t u) {
-        const std::size_t i = u / m.shardRows;
-        const std::uint64_t row = u % m.shardRows;
-        const std::uint64_t s = pending[i];
-        OpenShard &o = open[i];
-        const auto r0 = Clock::now();
-        std::call_once(o.opened, [&] {
-            o.payload.assign(m.rowsInShard(s) * row_cells, 0.0);
-            o.rowsLeft = m.rowsInShard(s);
-        });
-        simulate(s, row, row + 1,
-                 {o.payload.data() + row * row_cells, row_cells});
-        o.busyNs += nanosSince(r0);
-        if (progress) {
-            std::lock_guard<std::mutex> g(progress_mu);
-            progress->set(static_cast<double>(++rows_done) /
-                          static_cast<double>(rows));
-        }
-        // The last row's thread sees every other row's cells.
-        if (--o.rowsLeft == 0)
-            commit(i);
-    });
+    const auto t0 = Clock::now();
+    const std::vector<std::size_t> pending = exec::fanOutStored(
+        jobs, shards,
+        [&](std::size_t s) { return m.rowsInShard(s); }, try_resume,
+        run_row, commit);
     const double wall = std::chrono::duration<double>(
                             Clock::now() - t0)
                             .count();
+    if (progress && pending.empty())
+        progress->set(1.0);
 
-    st.wallSeconds = wall;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        st.cellsSimulated += m.rowsInShard(pending[i]) * np;
+    ShardLoopStats st;
+    st.shardsResumed = shards - pending.size();
+    st.cellsResumed = rows_resumed * np;
+    for (std::size_t s : pending) {
+        st.cellsSimulated += m.rowsInShard(s) * np;
         ++st.shardsWritten;
         st.simSeconds +=
-            1e-9 * static_cast<double>(open[i].busyNs.load());
+            1e-9 * static_cast<double>(open[s].busyNs.load());
     }
     // A pass that resumed every shard measured no rate: keep the
     // last real one.
@@ -533,10 +516,7 @@ runBadcoPopulationCampaign(
         m.shardCount());
     const std::uint32_t batch_cells =
         resolveBatchCells(opts.batchCells);
-    const double setup_seconds = std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() -
-                                     t0)
-                                     .count();
+    const auto pass0 = std::chrono::steady_clock::now();
     const ShardLoopStats st = runV3Shards(
         m, out_dir, jobs, opts.verbose, "population",
         [&](std::uint64_t s, std::uint64_t row_begin,
@@ -549,6 +529,10 @@ runBadcoPopulationCampaign(
             parts[s] = makeAccumulators(pairs, opts);
             accumulateShard(m, pop, s, payload, m.refIpc, parts[s]);
         });
+    const double pass_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    pass0)
+                                    .count();
 
     // Deterministic merge in shard (= rank) order; the Welford,
     // histogram and sketch merges are all order-insensitive in
@@ -568,8 +552,7 @@ runBadcoPopulationCampaign(
     result.cellsResumed = st.cellsResumed;
     result.shardsWritten = st.shardsWritten;
     result.shardsResumed = st.shardsResumed;
-    result.setupSeconds = setup_seconds;
-    result.passSeconds = st.wallSeconds;
+    result.passSeconds = pass_seconds;
     m.simSeconds = st.simSeconds;
     // Instructions describe the whole artifact (resumed shards
     // included); simSeconds is this run's simulation wall only.

@@ -152,9 +152,10 @@ struct PopulationResult
 
     /** Wall seconds of this run (excludes resumed shards' work). */
     double wallSeconds = 0.0;
-    /** Of wallSeconds: set-up (BADCO models, reference IPCs). */
-    double setupSeconds = 0.0;
-    /** Of wallSeconds: the shard pass (resume, simulate, commit). */
+    /**
+     * Of wallSeconds: the shard pass (resume, simulate, commit).
+     * Nearly all the rest is set-up (BADCO models, reference IPCs).
+     */
     double passSeconds = 0.0;
 
     /** Cells simulated per second of the shard pass. */
@@ -271,8 +272,6 @@ struct ShardLoopStats
     std::uint64_t shardsResumed = 0;
     /** Summed row and commit wall time of the simulated shards. */
     double simSeconds = 0.0;
-    /** Wall seconds of the whole pass. */
-    double wallSeconds = 0.0;
 };
 
 /**
@@ -286,7 +285,7 @@ using ShardRowSimulator =
 /**
  * The shard loop behind every in-process campaign_v3 runner.  The
  * shard is the unit of storage, resume and content addressing; the
- * row is the unit of scheduling:
+ * row is the unit of scheduling (exec::fanOutStored):
  *
  *  1. Resume pass: when @p dir is non-empty, every intact shard
  *     already there is handed to @p consume (a damaged one is

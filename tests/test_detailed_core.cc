@@ -52,19 +52,12 @@ TEST(DetailedCore, DeterministicAcrossRuns)
 TEST(DetailedCore, IdleSkippingPreservesTiming)
 {
     // Driving the core with nextEventCycle() jumps must produce the
-    // exact same timing as stepping every cycle.  The small core (a
-    // 2-entry MSHR file, small ROB/RS/LDQ/STQ) makes the cases the
-    // next work cycle leaves out common: loads that miss DL1 while
-    // every MSHR is busy, and dispatch held by a full structure.
-    CoreConfig small;
-    small.dl1Mshrs = 2;
-    small.robSize = 32;
-    small.rsSize = 8;
-    small.ldqSize = 4;
-    small.stqSize = 4;
+    // exact same timing as running every cycle's stages, ungated.
+    // The small core makes the cases the next work cycle leaves out
+    // common.
     const UncoreConfig ucfg = UncoreConfig::forCores(4, PolicyKind::LRU);
     const std::uint64_t target = 8000;
-    for (const CoreConfig &ccfg : {CoreConfig{}, small}) {
+    for (const CoreConfig &ccfg : {CoreConfig{}, test::smallCore()}) {
         for (const BenchmarkProfile &p :
              {test::heavyProfile(), test::lightProfile()}) {
             Uncore u1(ucfg, 1, 5);
@@ -82,16 +75,25 @@ TEST(DetailedCore, IdleSkippingPreservesTiming)
             DetailedCore step(ccfg, TraceStore::global().cursor(p), u2,
                               0, target, 1);
             for (now = 0; !step.reachedTarget(); ++now)
-                step.tick(now);
+                test::DetailedCoreAccess::work(step, now);
 
             const CoreStats &a = skip.stats();
             const CoreStats &b = step.stats();
             EXPECT_EQ(a.cyclesToTarget, b.cyclesToTarget) << p.name;
             EXPECT_EQ(a.committed, b.committed) << p.name;
-            EXPECT_EQ(a.dl1Misses, b.dl1Misses) << p.name;
-            EXPECT_EQ(a.uncoreLoads, b.uncoreLoads) << p.name;
-            EXPECT_EQ(a.uncorePrefetches, b.uncorePrefetches) << p.name;
+            EXPECT_EQ(a.branches, b.branches) << p.name;
             EXPECT_EQ(a.branchMispredicts, b.branchMispredicts)
+                << p.name;
+            EXPECT_EQ(a.dl1Misses, b.dl1Misses) << p.name;
+            EXPECT_EQ(a.il1Misses, b.il1Misses) << p.name;
+            EXPECT_EQ(a.dtlbMisses, b.dtlbMisses) << p.name;
+            EXPECT_EQ(a.itlbMisses, b.itlbMisses) << p.name;
+            EXPECT_EQ(a.uncoreLoads, b.uncoreLoads) << p.name;
+            EXPECT_EQ(a.uncoreStores, b.uncoreStores) << p.name;
+            EXPECT_EQ(a.uncorePrefetches, b.uncorePrefetches) << p.name;
+            EXPECT_EQ(a.uncoreWritebacks, b.uncoreWritebacks) << p.name;
+            EXPECT_EQ(u1.coreStats(0).demandMisses,
+                      u2.coreStats(0).demandMisses)
                 << p.name;
         }
     }

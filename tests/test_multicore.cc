@@ -171,53 +171,57 @@ TEST(DetailedMulticore, GoldenDigestAcrossCoresAndPolicies)
 TEST(DetailedMulticore, IdleSkippingPreservesTiming)
 {
     // run() jumps over the cycles on which no core would work; the
-    // result must equal this copy of the driver loop that visits
-    // every cycle of the unfinished cores' legacy schedule.
+    // result must equal this copy of the driver loop that runs every
+    // core's stages, ungated, on every cycle of the unfinished cores'
+    // legacy schedule.
     const auto suite = testSuite();
     const std::uint64_t target = 3000;
     const std::uint64_t seed = 9;
-    for (PolicyKind p : {PolicyKind::LRU, PolicyKind::DIP}) {
-        const UncoreConfig ucfg = UncoreConfig::forCores(4, p);
-        for (const Workload &w : {Workload({0, 1, 2, 1}),
-                                  Workload({1, 1, 0, 0}),
-                                  Workload({2, 0, 0, 1})}) {
-            Uncore uncore(ucfg, 4, seed);
-            std::vector<std::unique_ptr<DetailedCore>> cores;
-            for (std::uint32_t k = 0; k < 4; ++k)
-                cores.push_back(std::make_unique<DetailedCore>(
-                    CoreConfig{},
-                    TraceStore::global().cursor(suite[w[k]]), uncore,
-                    k, target, seed + 0x1000 * (k + 1)));
-            std::uint64_t now = 0;
-            while (true) {
-                bool all_done = true;
-                for (auto &c : cores) {
-                    c->tick(now);
-                    all_done = all_done && c->reachedTarget();
+    for (const CoreConfig &ccfg : {CoreConfig{}, test::smallCore()}) {
+        for (PolicyKind p : {PolicyKind::LRU, PolicyKind::DIP}) {
+            const UncoreConfig ucfg = UncoreConfig::forCores(4, p);
+            for (const Workload &w : {Workload({0, 1, 2, 1}),
+                                      Workload({1, 1, 0, 0}),
+                                      Workload({2, 0, 0, 1})}) {
+                Uncore uncore(ucfg, 4, seed);
+                std::vector<std::unique_ptr<DetailedCore>> cores;
+                for (std::uint32_t k = 0; k < 4; ++k)
+                    cores.push_back(std::make_unique<DetailedCore>(
+                        ccfg,
+                        TraceStore::global().cursor(suite[w[k]]),
+                        uncore, k, target, seed + 0x1000 * (k + 1)));
+                std::uint64_t now = 0;
+                while (true) {
+                    bool all_done = true;
+                    for (auto &c : cores) {
+                        test::DetailedCoreAccess::work(*c, now);
+                        all_done = all_done && c->reachedTarget();
+                    }
+                    if (all_done)
+                        break;
+                    std::uint64_t next = UINT64_MAX;
+                    for (auto &c : cores)
+                        if (!c->reachedTarget())
+                            next = std::min(next,
+                                            c->legacyEventCycle(now));
+                    now = std::max(now + 1,
+                                   next == UINT64_MAX ? now + 1 : next);
                 }
-                if (all_done)
-                    break;
-                std::uint64_t next = UINT64_MAX;
-                for (auto &c : cores)
-                    if (!c->reachedTarget())
-                        next = std::min(next, c->legacyEventCycle(now));
-                now = std::max(now + 1,
-                               next == UINT64_MAX ? now + 1 : next);
-            }
 
-            const DetailedMulticoreSim sim(CoreConfig{}, ucfg, 4,
-                                           target, seed);
-            const SimResult r = sim.run(w, suite);
-            std::uint64_t cycles = 0;
-            for (std::uint32_t k = 0; k < 4; ++k) {
-                EXPECT_EQ(r.ipc[k], cores[k]->ipc()) << k;
-                EXPECT_EQ(r.llcDemandMisses[k],
-                          uncore.coreStats(k).demandMisses)
-                    << k;
-                cycles = std::max(cycles,
-                                  cores[k]->stats().cyclesToTarget);
+                const DetailedMulticoreSim sim(ccfg, ucfg, 4, target,
+                                               seed);
+                const SimResult r = sim.run(w, suite);
+                std::uint64_t cycles = 0;
+                for (std::uint32_t k = 0; k < 4; ++k) {
+                    EXPECT_EQ(r.ipc[k], cores[k]->ipc()) << k;
+                    EXPECT_EQ(r.llcDemandMisses[k],
+                              uncore.coreStats(k).demandMisses)
+                        << k;
+                    cycles = std::max(
+                        cycles, cores[k]->stats().cyclesToTarget);
+                }
+                EXPECT_EQ(r.cycles, cycles);
             }
-            EXPECT_EQ(r.cycles, cycles);
         }
     }
 }

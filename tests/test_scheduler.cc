@@ -4,8 +4,8 @@
  * equivalence, inline execution at one worker, exactly-once claims
  * under skewed costs, progress when an index blocks on a later
  * one, first-error cancellation, deadlock-free nesting, the jobs
- * overload of parallel_for, the scheduler.* metrics, and the
- * WSEL_JOBS resolution rules.
+ * overload of parallel_for, fanOutStored, the scheduler.* metrics,
+ * and the WSEL_JOBS resolution rules.
  */
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -292,6 +293,63 @@ TEST(Scheduler, JobsOverloadRunsInlineWhenOneWorkerSuffices)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     EXPECT_EQ(counterValue("scheduler.tasks_run") - before,
               hits.size());
+}
+
+TEST(Scheduler, FanOutStoredCommitsEveryPendingUnitOnce)
+{
+    // Uneven units (a short one in the middle), every third one
+    // resumed: each pending unit's cells run once, and its commit,
+    // called once, sees every cell's write.
+    const std::size_t units = 9;
+    auto cells_in = [](std::size_t u) { return 1 + (u * 5) % 7; };
+    std::vector<std::vector<int>> slots(units);
+    for (std::size_t u = 0; u < units; ++u)
+        slots[u].assign(cells_in(u), 0);
+    std::vector<std::atomic<int>> commits(units);
+    std::vector<std::atomic<int>> resumes(units);
+    for (std::size_t u = 0; u < units; ++u) {
+        commits[u] = 0;
+        resumes[u] = 0;
+    }
+    const std::vector<std::size_t> pending = exec::fanOutStored(
+        4, units, cells_in,
+        [&](std::size_t u) {
+            ++resumes[u];
+            return u % 3 == 0;
+        },
+        [&](std::size_t u, std::size_t c) { ++slots[u][c]; },
+        [&](std::size_t u) {
+            ++commits[u];
+            for (std::size_t c = 0; c < cells_in(u); ++c)
+                EXPECT_EQ(slots[u][c], 1) << u << "/" << c;
+        });
+    EXPECT_EQ(pending, (std::vector<std::size_t>{1, 2, 4, 5, 7, 8}));
+    for (std::size_t u = 0; u < units; ++u) {
+        EXPECT_EQ(resumes[u].load(), 1) << u;
+        EXPECT_EQ(commits[u].load(), u % 3 == 0 ? 0 : 1) << u;
+        for (int hit : slots[u])
+            EXPECT_EQ(hit, u % 3 == 0 ? 0 : 1) << u;
+    }
+}
+
+TEST(Scheduler, FanOutStoredRunsInlineInOrderAtOneJob)
+{
+    std::vector<std::string> log;
+    const std::vector<std::size_t> pending = exec::fanOutStored(
+        1, 3, [](std::size_t u) { return u + 1; },
+        [&](std::size_t u) {
+            log.push_back("r" + std::to_string(u));
+            return u == 1;
+        },
+        [&](std::size_t u, std::size_t c) {
+            log.push_back("c" + std::to_string(u) + std::to_string(c));
+        },
+        [&](std::size_t u) { log.push_back("w" + std::to_string(u)); });
+    const std::vector<std::string> want = {"r0",  "r1",  "r2", "c00",
+                                           "w0",  "c20", "c21", "c22",
+                                           "w2"};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(pending, (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(Scheduler, StatsAreInternallyConsistent)

@@ -99,6 +99,37 @@ runSingleCore(const BenchmarkProfile &profile, UncoreIf &uncore,
     return core.stats();
 }
 
+/**
+ * A core with a 2-entry DL1 MSHR file and a small ROB/RS/LDQ/STQ:
+ * loads that miss DL1 while every MSHR is busy, and dispatch held
+ * by a full structure, are common on it.
+ */
+inline CoreConfig
+smallCore()
+{
+    CoreConfig c;
+    c.dl1Mshrs = 2;
+    c.robSize = 32;
+    c.rsSize = 8;
+    c.ldqSize = 4;
+    c.stqSize = 4;
+    return c;
+}
+
+/**
+ * DetailedCore's ungated cycle: tick() without the skip of cycles
+ * before the core's next work cycle, so a test can check that every
+ * skipped cycle was one on which the core did nothing.
+ */
+struct DetailedCoreAccess
+{
+    static void
+    work(DetailedCore &core, std::uint64_t now)
+    {
+        core.work(now);
+    }
+};
+
 } // namespace wsel::test
 
 #endif // WSEL_TESTS_TEST_UTIL_HH

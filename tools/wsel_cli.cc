@@ -890,7 +890,7 @@ cmdPopulation(const Args &args)
                 static_cast<unsigned long long>(r.cellsResumed),
                 static_cast<unsigned long long>(r.shardsWritten),
                 static_cast<unsigned long long>(r.shardsResumed),
-                r.cellsPerSec(), r.setupSeconds,
+                r.cellsPerSec(), r.wallSeconds - r.passSeconds,
                 static_cast<double>(r.manifest.rows() *
                                     policies.size() * cores * 8) /
                     (1024.0 * 1024.0));
