@@ -121,8 +121,7 @@ std::uint64_t
 detailedCyclesAt(const BenchmarkProfile &profile,
                  const CoreConfig &core_cfg,
                  std::uint64_t target_uops, std::uint32_t latency,
-                 std::uint64_t seed, BadcoModel *model,
-                 ModelRecorder *recorder)
+                 std::uint64_t seed, ModelRecorder *recorder)
 {
     PerfectUncore uncore(latency);
     DetailedCore core(core_cfg, TraceStore::global().cursor(profile),
@@ -135,7 +134,6 @@ detailedCyclesAt(const BenchmarkProfile &profile,
         const std::uint64_t next = core.nextEventCycle(now);
         now = std::max(now + 1, next == UINT64_MAX ? now + 1 : next);
     }
-    (void)model;
     return core.stats().cyclesToTarget;
 }
 
@@ -169,7 +167,7 @@ buildBadcoModel(const BenchmarkProfile &profile,
     ModelRecorder recorder(model);
     model.intrinsicCycles = detailedCyclesAt(
         profile, core_cfg, target_uops, llc_hit_latency, seed,
-        &model, &recorder);
+        &recorder);
     model.tailWeight =
         model.intrinsicCycles > recorder.lastIssue()
             ? model.intrinsicCycles - recorder.lastIssue()
@@ -188,8 +186,7 @@ buildBadcoModel(const BenchmarkProfile &profile,
     const std::uint32_t slow =
         llc_hit_latency + slow_extra_latency;
     const std::uint64_t t_slow = detailedCyclesAt(
-        profile, core_cfg, target_uops, slow, seed, nullptr,
-        nullptr);
+        profile, core_cfg, target_uops, slow, seed, nullptr);
 
     std::uint32_t best_w = 1;
     std::uint64_t best_err = UINT64_MAX;

@@ -97,6 +97,13 @@ requiredSampleSize(double cv)
     return static_cast<std::size_t>(std::max(1.0, std::ceil(w)));
 }
 
+std::string
+requiredSampleSizeText(double cv)
+{
+    return std::isfinite(cv) ? std::to_string(requiredSampleSize(cv))
+                             : "-";
+}
+
 namespace
 {
 

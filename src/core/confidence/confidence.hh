@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/metrics/throughput.hh"
@@ -73,6 +74,13 @@ double modelConfidence(double cv, std::size_t sample_size);
  * least 1.
  */
 std::size_t requiredSampleSize(double cv);
+
+/**
+ * requiredSampleSize(@p cv) as table text, or "-" where @p cv is NaN
+ * or infinite: a pair whose d(w) has zero spread and zero mean has
+ * cv = 0/0, and no sample size.
+ */
+std::string requiredSampleSizeText(double cv);
 
 /**
  * The paper's §VII decision thresholds on |cv| estimated from a

@@ -1,6 +1,5 @@
 #include "core/report/report.hh"
 
-#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -102,12 +101,9 @@ writeMarkdownReport(const ReportInput &input, std::ostream &os)
                 os.precision(6);
                 os << ds.mu << " | ";
                 os.precision(3);
-                os << ds.cv << " | " << ds.inverseCv() << " | ";
-                if (std::isfinite(ds.cv))
-                    os << requiredSampleSize(ds.cv);
-                else
-                    os << "-";
-                os << " | " << regimeName(classifyCv(ds.cv)) << " | "
+                os << ds.cv << " | " << ds.inverseCv() << " | "
+                   << requiredSampleSizeText(ds.cv) << " | "
+                   << regimeName(classifyCv(ds.cv)) << " | "
                    << strata << " |\n";
             }
         }

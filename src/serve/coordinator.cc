@@ -337,39 +337,61 @@ Coordinator::statusOf(std::uint64_t id) const
     return s;
 }
 
+bool
+Coordinator::tryGrant(Conn &conn)
+{
+    Campaign *c = active();
+    if (!c || !c->table)
+        return false;
+    const auto now = LeaseClock::now();
+    const std::optional<LeaseGrant> g = c->table->acquire(
+        now, static_cast<std::int64_t>(conn.workerPid));
+    if (!g)
+        return false;
+    LeaseMsg lm;
+    lm.leaseId = g->leaseId;
+    lm.campaignId = activeId_;
+    lm.shard = g->shard;
+    lm.ttlMs = ttlMillis(opts_.lease);
+    lm.fingerprint = c->ctx->manifest().fingerprint;
+    lm.dir = c->dir;
+    lm.spec = c->spec;
+    conn.leases.push_back(g->leaseId);
+    inflight_[g->leaseId] = LeaseInflight{activeId_, now};
+    obs::counter("serve.leases_granted").inc();
+    if (!sendFrame(conn.fd.get(), MsgType::Lease, encodeLease(lm)))
+        dropConnection(conn);
+    return true;
+}
+
 void
 Coordinator::grantOrPark(Conn &conn)
 {
-    if (draining_) {
+    if (draining_)
         (void)sendFrame(conn.fd.get(), MsgType::Shutdown, {});
-        return;
-    }
-    Campaign *c = active();
-    if (c && c->table) {
-        const auto now = LeaseClock::now();
-        if (std::optional<LeaseGrant> g = c->table->acquire(
-                now, static_cast<std::int64_t>(conn.workerPid))) {
-            LeaseMsg lm;
-            lm.leaseId = g->leaseId;
-            lm.campaignId = activeId_;
-            lm.shard = g->shard;
-            lm.ttlMs = ttlMillis(opts_.lease);
-            lm.fingerprint = c->ctx->manifest().fingerprint;
-            lm.dir = c->dir;
-            lm.spec = c->spec;
-            conn.leases.push_back(g->leaseId);
-            inflight_[g->leaseId] =
-                LeaseInflight{activeId_, now};
-            obs::counter("serve.leases_granted").inc();
-            if (!sendFrame(conn.fd.get(), MsgType::Lease,
-                           encodeLease(lm)))
-                dropConnection(conn);
-            return;
+    else if (!tryGrant(conn))
+        conn.parkedSince = LeaseClock::now();
+}
+
+void
+Coordinator::serviceParked(LeaseClock::time_point now)
+{
+    for (const auto &cp : conns_) {
+        Conn &conn = *cp;
+        if (!conn.parkedSince)
+            continue;
+        if (draining_) {
+            (void)sendFrame(conn.fd.get(), MsgType::Shutdown, {});
+        } else if (!tryGrant(conn)) {
+            if (now - *conn.parkedSince < kParkMax)
+                continue;
+            WireWriter w;
+            w.u8(0);
+            (void)sendFrame(conn.fd.get(), MsgType::NoWork,
+                            w.bytes());
         }
+        conn.parkedSince.reset();
     }
-    WireWriter w;
-    w.u8(0);
-    (void)sendFrame(conn.fd.get(), MsgType::NoWork, w.bytes());
 }
 
 void
@@ -625,15 +647,23 @@ Coordinator::run()
         for (const auto &c : conns_)
             pfds.push_back({c->fd.get(), POLLIN, 0});
 
+        // Wake for the next lease deadline or backoff expiry and
+        // for the oldest parked request's NoWork, at least every
+        // 100 ms.
+        std::optional<LeaseClock::time_point> wake;
+        if (Campaign *c = active(); c && c->table)
+            wake = c->table->nextEvent();
+        for (const auto &c : conns_)
+            if (c->parkedSince &&
+                (!wake || *c->parkedSince + kParkMax < *wake))
+                wake = *c->parkedSince + kParkMax;
         int timeout_ms = 100;
-        if (Campaign *c = active(); c && c->table) {
-            if (auto next = c->table->nextEvent()) {
-                const auto d = std::chrono::duration_cast<
-                    std::chrono::milliseconds>(*next -
-                                               LeaseClock::now());
-                timeout_ms = std::clamp<int>(
-                    static_cast<int>(d.count()) + 1, 1, 100);
-            }
+        if (wake) {
+            const auto d =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    *wake - LeaseClock::now());
+            timeout_ms = std::clamp<int>(
+                static_cast<int>(d.count()) + 1, 1, 100);
         }
         const int pr =
             ::poll(pfds.data(),
@@ -726,6 +756,7 @@ Coordinator::run()
         }
 
         activateNext();
+        serviceParked(LeaseClock::now());
 
         if (draining_ && inflight_.empty()) {
             for (auto &c : conns_)

@@ -26,6 +26,12 @@
  *    deadline by it, so workers are not expired for the
  *    coordinator's pause.
  *
+ * A lease request that finds nothing to grant is parked, not
+ * refused: the coordinator answers it with a lease as soon as a
+ * campaign activates or a lease is requeued, and with NoWork only
+ * after it has waited kParkMax, so a fleet is never idle at a
+ * campaign boundary for longer than admission takes.
+ *
  * Admission control is a bounded queue: at most maxQueued
  * campaigns queued or running; beyond that Submit is rejected
  * immediately (`serve.campaigns_rejected`).  SIGTERM (via
@@ -42,6 +48,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,6 +90,12 @@ struct CoordinatorOptions
 class Coordinator
 {
   public:
+    /**
+     * Longest a parked lease request waits before NoWork; far
+     * inside the worker's 60 s reply deadline.
+     */
+    static constexpr std::chrono::milliseconds kParkMax{1000};
+
     explicit Coordinator(const CoordinatorOptions &opts);
     ~Coordinator();
 
@@ -136,6 +149,9 @@ class Coordinator
             Kind::Unknown;
         std::uint64_t workerPid = 0;
         std::vector<std::uint64_t> leases; ///< held by this worker
+
+        /** When this worker's unanswered RequestLease arrived. */
+        std::optional<LeaseClock::time_point> parkedSince;
     };
 
     struct LeaseInflight
@@ -151,6 +167,8 @@ class Coordinator
     void finalize(std::uint64_t id, Campaign &c);
     bool beginEscalation(std::uint64_t id, Campaign &c);
     void grantOrPark(Conn &conn);
+    bool tryGrant(Conn &conn);
+    void serviceParked(LeaseClock::time_point now);
     void noteLeaseClosed(std::uint64_t leaseId, Conn *conn);
     StatusMsg statusOf(std::uint64_t id) const;
     Campaign *active();

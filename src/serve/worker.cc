@@ -97,6 +97,10 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
         lease.spec.shardRows, lease.spec.fidelity);
     if (!cached.ctx || cached.fingerprint != lease.fingerprint ||
         cached.geomHash != geom) {
+        // Free the last campaign's models before building the next
+        // campaign's: holding both sets at once would set the
+        // worker's peak RSS.
+        cached = CachedContext{};
         std::unique_ptr<CampaignContext> ctx;
         try {
             ctx = std::make_unique<CampaignContext>(
@@ -149,19 +153,27 @@ runLease(const LeaseMsg &lease, CachedContext &cached,
             std::chrono::milliseconds(
                 std::max<std::uint64_t>(1, lease.ttlMs / 4)));
         try {
-            if (ctx.fidelity() == 0)
-                // Batch size from WSEL_BATCH_CELLS (resolver
-                // default otherwise); it never changes shard
-                // bytes, so mixed worker fleets stay coherent.
-                simulatePopulationShardBatched(
-                    m, ctx.population(), ctx.uncores(),
-                    ctx.models(), ctx.seed(), lease.shard, 0, 0,
-                    payload);
-            else
-                simulateDetailedPopulationShard(
-                    m, ctx.population(), ctx.coreConfig(),
-                    ctx.uncores(), ctx.suite(), ctx.seed(),
-                    lease.shard, payload);
+            // The shard is the lease and the commit; its rows fan
+            // out over this worker's threads.  Neither the row
+            // split nor the batch size (WSEL_BATCH_CELLS, resolver
+            // default otherwise) changes shard bytes, so mixed
+            // worker fleets stay coherent.
+            const ShardRowSimulator simulate =
+                [&](std::uint64_t shard, std::uint64_t begin,
+                    std::uint64_t end, std::span<double> out) {
+                    if (ctx.fidelity() == 0)
+                        simulatePopulationRows(
+                            m, ctx.population(), ctx.uncores(),
+                            ctx.models(), ctx.seed(), shard, begin,
+                            end, 0, out);
+                    else
+                        simulateDetailedPopulationRows(
+                            m, ctx.population(), ctx.coreConfig(),
+                            ctx.uncores(), ctx.suite(), ctx.seed(),
+                            shard, begin, end, out);
+                };
+            simulateShardRows(m, lease.shard, opts.jobs, simulate,
+                              payload);
         } catch (const std::exception &e) {
             g_current_shard.store(-1, std::memory_order_relaxed);
             error =
@@ -206,10 +218,13 @@ runWorker(const WorkerOptions &opts)
         case MsgType::Shutdown:
             return 0;
         case MsgType::NoWork: {
-            // Backoff before asking again; leases may free up when
-            // another worker dies or a backoff gate opens.
+            // The coordinator parks a request until a lease frees
+            // up and answers NoWork only after a long wait, so ask
+            // again almost at once; the pause only keeps a
+            // coordinator that answers at once from making this
+            // loop spin.
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
+                std::chrono::milliseconds(2));
             continue;
         }
         case MsgType::Lease: {

@@ -1,9 +1,9 @@
 /**
  * @file
  * The wsel_worker process body: connect to the coordinator's Unix
- * socket, lease shards, simulate them via simulatePopulationShard,
- * commit them to the content-addressed result store, repeat until
- * told to shut down.
+ * socket, lease shards, simulate each one's rows on the worker's
+ * threads (simulateShardRows), commit the shard to the
+ * content-addressed result store, repeat until told to shut down.
  *
  * The worker is crash-fodder by design: the coordinator assumes
  * any worker can vanish (SIGKILL, OOM, disk-full abort) at any
@@ -41,8 +41,11 @@ struct WorkerOptions
     /** Model cache directory ("" = in-memory only). */
     std::string cacheDir;
 
-    /** Threads for model building (simulation itself is serial). */
-    std::size_t jobs = 1;
+    /**
+     * Threads for model building and for the rows of a leased
+     * shard; 0 = $WSEL_JOBS else hardware.
+     */
+    std::size_t jobs = 0;
 };
 
 /**

@@ -286,6 +286,22 @@ simulateDetailedPopulationShard(
                                    shardPayload(m, shard, payload));
 }
 
+void
+simulateShardRows(const persist::V3Manifest &m, std::uint64_t shard,
+                  std::size_t jobs, const ShardRowSimulator &simulate,
+                  std::vector<double> &payload)
+{
+    const std::span<double> out = shardPayload(m, shard, payload);
+    const std::size_t row_cells = m.policies.size() * m.cores;
+    exec::parallel_for(
+        jobs, std::size_t{0},
+        static_cast<std::size_t>(m.rowsInShard(shard)),
+        [&](std::size_t r) {
+            simulate(shard, r, r + 1,
+                     out.subspan(r * row_cells, row_cells));
+        });
+}
+
 ShardLoopStats
 runV3Shards(const persist::V3Manifest &m, const std::string &dir,
             std::size_t jobs, bool verbose, const std::string &runner,

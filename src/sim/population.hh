@@ -173,10 +173,10 @@ struct PopulationResult
  * Simulate rows [@p row_begin, @p row_end) of one campaign_v3
  * shard into @p out, which must hold exactly (row_end - row_begin)
  * x policies x cores doubles (row-major: workload, policy, core).
- * This row range is the unit of work of every in-process runner
- * (runV3Shards fans a shard's rows out over its workers); the
- * whole-shard functions below wrap it for the `wsel_worker`
- * processes of the distributed campaign service (src/serve/).
+ * This row range is the unit of work of every runner: runV3Shards
+ * fans the rows of many shards out over its workers, and
+ * simulateShardRows the rows of the one shard a `wsel_worker`
+ * process of the distributed campaign service (src/serve/) leased.
  * Rows come from the manifest's rank range or, in list mode, its
  * rank list; per-cell seeds are campaignCellSeed(m.fingerprint,
  * base_seed, policy, firstRank + row position) — the absolute rank
@@ -281,6 +281,19 @@ struct ShardLoopStats
 using ShardRowSimulator =
     std::function<void(std::uint64_t, std::uint64_t, std::uint64_t,
                        std::span<double>)>;
+
+/**
+ * Simulate every row of @p shard into @p payload (resized to the
+ * shard's cells): one simulate(shard, r, r + 1, slice) call per row
+ * r, on min(jobs, rows) threads of exec::parallel_for (@p jobs
+ * resolved by exec::resolveJobs; at one job inline, in row order).
+ * The shard stays the unit of storage: the caller commits the
+ * payload once every row is in.
+ */
+void simulateShardRows(const persist::V3Manifest &m,
+                       std::uint64_t shard, std::size_t jobs,
+                       const ShardRowSimulator &simulate,
+                       std::vector<double> &payload);
 
 /**
  * The shard loop behind every in-process campaign_v3 runner.  The

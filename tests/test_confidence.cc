@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "core/confidence/confidence.hh"
 #include "stats/logging.hh"
 #include "stats/rng.hh"
+#include "stats/summary.hh"
 
 namespace wsel
 {
@@ -75,6 +77,31 @@ TEST(RequiredSampleSize, EquationEight)
     EXPECT_EQ(requiredSampleSize(2.5), 50u);
     EXPECT_EQ(requiredSampleSize(10.0), 800u);
     EXPECT_EQ(requiredSampleSize(0.1), 1u); // floor at one workload
+}
+
+TEST(RequiredSampleSize, TextIsDashForZeroSpreadPair)
+{
+    // Two policies with equal throughput on every workload: d(w) is
+    // zero everywhere, so cv = 0/0 and eq. 8 names no sample size.
+    // The tables print "-" instead of dying.
+    const std::vector<double> t{0.9, 1.4, 0.6, 1.1};
+    const DifferenceStats ds =
+        differenceStats(perWorkloadDifferences(ThroughputMetric::IPCT,
+                                               t, t));
+    ASSERT_TRUE(std::isnan(ds.cv));
+    EXPECT_EQ(requiredSampleSizeText(ds.cv), "-");
+    EXPECT_THROW(requiredSampleSize(ds.cv), FatalError);
+
+    // The streamed population statistics give the same cv.
+    RunningStats d;
+    for (std::size_t w = 0; w < t.size(); ++w)
+        d.add(0.0);
+    EXPECT_EQ(requiredSampleSizeText(d.coefficientOfVariation()), "-");
+
+    EXPECT_EQ(requiredSampleSizeText(
+                  std::numeric_limits<double>::infinity()),
+              "-");
+    EXPECT_EQ(requiredSampleSizeText(2.5), "50");
 }
 
 TEST(RequiredSampleSize, ConfidenceAtRequiredSizeIsHigh)

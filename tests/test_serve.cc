@@ -9,14 +9,17 @@
  * must be bitwise identical to an uninterrupted serial run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -748,23 +751,29 @@ class ServeDistributedTest : public ::testing::Test
     }
 
     serve::CoordinatorOptions
-    coordinatorOptions()
+    coordinatorOptions(const std::string &store = "store")
     {
         serve::CoordinatorOptions o;
         o.socketPath = socket_;
-        o.storeRoot = dir_ + "/store";
+        o.storeRoot = dir_ + "/" + store;
         o.cacheDir = cacheDir_;
         o.lease.backoffBase = std::chrono::milliseconds(10);
         return o;
     }
 
+    /** A wsel_worker; @p jobs 0 leaves --jobs at its default. */
     pid_t
-    spawnWorker(const std::vector<std::string> &extra_env = {})
+    spawnWorker(const std::vector<std::string> &extra_env = {},
+                std::size_t jobs = 0)
     {
-        return serve::spawnProcess(
-            {serve::findWorkerBinary(), "--socket", socket_,
-             "--cache-dir", cacheDir_},
-            extra_env);
+        std::vector<std::string> argv{serve::findWorkerBinary(),
+                                      "--socket", socket_,
+                                      "--cache-dir", cacheDir_};
+        if (jobs != 0) {
+            argv.push_back("--jobs");
+            argv.push_back(std::to_string(jobs));
+        }
+        return serve::spawnProcess(argv, extra_env);
     }
 
     /**
@@ -823,6 +832,54 @@ class ServeDistributedTest : public ::testing::Test
         }
         serve::ResultStore::commitManifest(dir, m);
         return m;
+    }
+
+    /**
+     * The same campaign run in-process by runBadcoPopulationCampaign
+     * into @p dir; returns its manifest.
+     */
+    persist::V3Manifest
+    writeInProcessReference(const serve::CampaignSpec &spec,
+                            const std::string &dir)
+    {
+        std::vector<BenchmarkProfile> suite;
+        for (const std::string &name : spec.benchmarks)
+            suite.push_back(findProfile(name));
+        std::vector<PolicyKind> policies;
+        for (const std::string &p : spec.policies)
+            policies.push_back(parsePolicyKind(p));
+        BadcoModelStore store(
+            CoreConfig{}, spec.targetUops,
+            UncoreConfig::forCores(spec.cores, PolicyKind::LRU)
+                .llcHitLatency,
+            cacheDir_);
+        PopulationOptions opts;
+        opts.seed = spec.seed;
+        opts.jobs = 4;
+        opts.shardCells = spec.shardRows * policies.size();
+        opts.firstRank = spec.firstRank;
+        opts.lastRank = spec.lastRank;
+        return runBadcoPopulationCampaign(
+                   WorkloadPopulation(
+                       static_cast<std::uint32_t>(suite.size()),
+                       spec.cores),
+                   policies, spec.targetUops, store, suite, {}, dir,
+                   opts)
+            .manifest;
+    }
+
+    /** Names of the shard files in @p dir, sorted. */
+    static std::vector<std::string>
+    shardFiles(const std::string &dir)
+    {
+        std::vector<std::string> names;
+        for (const auto &e : fs::directory_iterator(dir)) {
+            const std::string name = e.path().filename().string();
+            if (name.rfind("shard-", 0) == 0)
+                names.push_back(name);
+        }
+        std::sort(names.begin(), names.end());
+        return names;
     }
 
     /** Counter value out of the metrics JSON (-1 when absent). */
@@ -1190,6 +1247,211 @@ TEST_F(ServeDistributedTest, RestartedCoordinatorResumesFromStore)
 
     service.stop();
     expectClean(w);
+}
+
+/**
+ * A worker runs a leased shard's rows on its own threads and still
+ * commits the shard whole: workers at --jobs 1 and --jobs 4 write
+ * the bytes an in-process population run writes.
+ */
+TEST_F(ServeDistributedTest, WorkerJobsOneAndFourGiveInProcessShards)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.shardRows = 4; // shards of 4, 4 and 2 rows
+    const persist::V3Manifest m =
+        writeInProcessReference(spec, dir_ + "/inproc");
+    ASSERT_EQ(m.shardCount(), 3u);
+
+    for (const std::size_t jobs : {1u, 4u}) {
+        Service service(
+            coordinatorOptions("store-j" + std::to_string(jobs)));
+        serve::Client client(socket_);
+        const pid_t w = spawnWorker({}, jobs);
+        const serve::StatusMsg st =
+            client.waitFinished(client.submit(spec), kWaitDeadline);
+        ASSERT_EQ(st.state, serve::CampaignState::Done) << st.message;
+        service.stop();
+        expectClean(w);
+        for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
+            EXPECT_EQ(
+                readFileBytes(persist::v3ShardPath(st.dir, s)),
+                readFileBytes(
+                    persist::v3ShardPath(dir_ + "/inproc", s)))
+                << "--jobs " << jobs << " shard " << s;
+        }
+    }
+}
+
+TEST_F(ServeDistributedTest, KilledMultiThreadedWorkerLeavesNoShard)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.shardRows = 4;
+    const persist::V3Manifest m =
+        writeInProcessReference(spec, dir_ + "/inproc");
+
+    Service service(coordinatorOptions());
+    serve::Client client(socket_);
+    const std::uint64_t id = client.submit(spec);
+
+    // A lone --jobs 4 worker leases shard 0 (4 rows x 2 policies,
+    // one row per thread) and SIGKILLs itself at its 5th cell,
+    // while other rows of the shard are still running.
+    expectKilled(
+        spawnWorker({"WSEL_KILL_POINT=population.cell:5"}, 4));
+    const std::string dir = client.status(id).dir;
+    EXPECT_TRUE(shardFiles(dir).empty());
+
+    const pid_t w = spawnWorker({}, 4);
+    const serve::StatusMsg st = client.waitFinished(id, kWaitDeadline);
+    ASSERT_EQ(st.state, serve::CampaignState::Done) << st.message;
+    EXPECT_EQ(st.shardsDone, m.shardCount());
+    service.stop();
+    expectClean(w);
+    for (std::uint64_t s = 0; s < m.shardCount(); ++s) {
+        EXPECT_EQ(readFileBytes(persist::v3ShardPath(st.dir, s)),
+                  readFileBytes(
+                      persist::v3ShardPath(dir_ + "/inproc", s)))
+            << "shard " << s;
+    }
+}
+
+/**
+ * Detailed-fidelity leases (the escalated shards of a mixed-fidelity
+ * campaign) fan their rows out too: the escalated shards written by
+ * a --jobs 4 worker equal a --jobs 1 worker's.
+ */
+TEST_F(ServeDistributedTest, EscalationLeaseAtJobsFourMatchesJobsOne)
+{
+    serve::CampaignSpec spec = tinySpec();
+    spec.shardRows = 4;
+    spec.escalateBudget = 0.3;
+    spec.escalateQuantile = 0.9;
+    const std::string ppath = fidelity::errorProfilePath(cacheDir_);
+    {
+        serve::CampaignContext ctx(spec, cacheDir_);
+        fidelity::writeErrorProfile(
+            ppath, fidelity::ErrorProfile(ctx.suite()));
+    }
+
+    std::vector<std::vector<std::string>> shards;
+    for (const std::size_t jobs : {1u, 4u}) {
+        Service service(
+            coordinatorOptions("store-j" + std::to_string(jobs)));
+        serve::Client client(socket_);
+        const pid_t w = spawnWorker({}, jobs);
+        const serve::StatusMsg st =
+            client.waitFinished(client.submit(spec), kWaitDeadline);
+        ASSERT_EQ(st.state, serve::CampaignState::Done) << st.message;
+        ASSERT_TRUE(fidelity::hasEscalationRecord(st.dir));
+        service.stop();
+        expectClean(w);
+        std::vector<std::string> bytes;
+        for (const std::string &name : shardFiles(st.dir))
+            bytes.push_back(
+                name + ":" + readFileBytes(st.dir + "/" + name));
+        shards.push_back(std::move(bytes));
+    }
+    fs::remove(ppath);
+    ASSERT_FALSE(shards[0].empty());
+    EXPECT_EQ(shards[0], shards[1]);
+}
+
+/**
+ * A lease request that finds nothing to grant waits at the
+ * coordinator: NoWork only after Coordinator::kParkMax, and a
+ * campaign submitted while a request waits answers it with its
+ * first lease.
+ */
+TEST_F(ServeDistributedTest, ParkedRequestGetsFirstLeaseOfLaterCampaign)
+{
+    Service service(coordinatorOptions());
+    serve::Fd fd = serve::connectUnix(socket_);
+    ASSERT_TRUE(fd.valid());
+    serve::FrameBuffer fb;
+    {
+        serve::WireWriter w;
+        w.u64(static_cast<std::uint64_t>(::getpid()));
+        ASSERT_TRUE(serve::sendFrame(fd.get(),
+                                     serve::MsgType::HelloWorker,
+                                     w.bytes()));
+    }
+
+    // Nothing to lease: the request is answered, but only after
+    // waiting out the park.
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(serve::sendFrame(fd.get(),
+                                 serve::MsgType::RequestLease, {}));
+    std::optional<serve::Frame> f =
+        serve::recvFrame(fd.get(), fb, 30000);
+    ASSERT_TRUE(f);
+    EXPECT_EQ(f->type, serve::MsgType::NoWork);
+    EXPECT_GE(std::chrono::steady_clock::now() - t0,
+              serve::Coordinator::kParkMax);
+
+    // Ask again, then submit while the request is parked: the
+    // first frame back is the new campaign's first lease.
+    ASSERT_TRUE(serve::sendFrame(fd.get(),
+                                 serve::MsgType::RequestLease, {}));
+    std::this_thread::sleep_for(100ms);
+    serve::Client client(socket_);
+    const std::uint64_t id = client.submit(tinySpec());
+    f = serve::recvFrame(fd.get(), fb, 30000);
+    ASSERT_TRUE(f);
+    ASSERT_EQ(f->type, serve::MsgType::Lease);
+    const serve::LeaseMsg lease = serve::decodeLease(f->body);
+    EXPECT_EQ(lease.campaignId, id);
+    EXPECT_EQ(lease.shard, 0u);
+
+    // Hang up holding the lease: it fails back and the drain does
+    // not wait on it.
+    fd.reset();
+    service.stop();
+    EXPECT_EQ(service.exitCode(), 0);
+}
+
+TEST(ServeWorkerRows, RunInlineInOrderAtOneJob)
+{
+    persist::V3Manifest m = tinyManifest();
+    m.lastRank = 7;
+    m.shardRows = 5; // shard 0: rows 0-4, shard 1: rows 5-6
+    const std::size_t row_cells = m.policies.size() * m.cores;
+
+    for (const std::size_t jobs : {1u, 4u}) {
+        std::mutex mu;
+        std::vector<std::uint64_t> rows;
+        std::vector<std::thread::id> threads;
+        std::vector<double> payload;
+        simulateShardRows(
+            m, 0, jobs,
+            [&](std::uint64_t shard, std::uint64_t begin,
+                std::uint64_t end, std::span<double> out) {
+                EXPECT_EQ(shard, 0u);
+                EXPECT_EQ(end, begin + 1);
+                ASSERT_EQ(out.size(), row_cells);
+                EXPECT_EQ(out.data(),
+                          payload.data() + begin * row_cells);
+                for (double &x : out)
+                    x = static_cast<double>(begin);
+                const std::lock_guard<std::mutex> g(mu);
+                rows.push_back(begin);
+                threads.push_back(std::this_thread::get_id());
+            },
+            payload);
+        ASSERT_EQ(payload.size(), 5 * row_cells);
+        for (std::size_t i = 0; i < payload.size(); ++i)
+            EXPECT_EQ(payload[i],
+                      static_cast<double>(i / row_cells));
+        if (jobs == 1) {
+            EXPECT_EQ(rows, (std::vector<std::uint64_t>{0, 1, 2, 3,
+                                                        4}));
+            for (const std::thread::id t : threads)
+                EXPECT_EQ(t, std::this_thread::get_id());
+        } else {
+            std::sort(rows.begin(), rows.end());
+            EXPECT_EQ(rows, (std::vector<std::uint64_t>{0, 1, 2, 3,
+                                                        4}));
+        }
+    }
 }
 
 } // namespace

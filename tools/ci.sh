@@ -209,41 +209,61 @@ for preset in $presets; do
         # Distributed campaign smoke (docs/ROBUSTNESS.md): a
         # wsel_serve daemon, four workers — one of which SIGKILLs
         # itself mid-shard — and a client submission that must
-        # still complete with a committed manifest.
+        # still complete with a committed manifest.  It runs twice:
+        # with --jobs 1 workers and with default-jobs workers, which
+        # fan each leased shard's rows out over every hardware
+        # thread.  Both stores' shards must match an in-process
+        # `wsel_cli population` run of the same campaign (seed, rank
+        # range and --shard-size) byte for byte.
         echo "==> distributed campaign smoke: $preset"
         servedir="$bindir/serve-smoke"
         rm -rf "$servedir"
         mkdir -p "$servedir"
-        "./$bindir/tools/wsel_serve" \
-            --socket "$servedir/serve.sock" \
-            --store "$servedir/store" \
-            --cache-dir "$servedir/cache" &
-        serve_pid=$!
-        worker_pids=""
-        for i in 1 2 3; do
-            "./$bindir/tools/wsel_worker" \
+        WSEL_CACHE_DIR="$servedir/cache" \
+            "./$bindir/tools/wsel_cli" population \
+            --out "$servedir/inproc" \
+            --insns 5000 --cores 2 --limit 40 --shard-size 16
+        test -s "$servedir/inproc/manifest.bin"
+        for jobs in 1 default; do
+            jobs_arg=""
+            [ "$jobs" = default ] || jobs_arg="--jobs $jobs"
+            store="$servedir/store-$jobs"
+            "./$bindir/tools/wsel_serve" \
                 --socket "$servedir/serve.sock" \
+                --store "$store" \
                 --cache-dir "$servedir/cache" &
-            worker_pids="$worker_pids $!"
+            serve_pid=$!
+            worker_pids=""
+            for i in 1 2 3; do
+                # shellcheck disable=SC2086 # jobs_arg is two words or none
+                "./$bindir/tools/wsel_worker" \
+                    --socket "$servedir/serve.sock" \
+                    --cache-dir "$servedir/cache" $jobs_arg &
+                worker_pids="$worker_pids $!"
+            done
+            # shellcheck disable=SC2086
+            WSEL_KILL_POINT=population.cell:3 \
+                "./$bindir/tools/wsel_worker" \
+                --socket "$servedir/serve.sock" \
+                --cache-dir "$servedir/cache" $jobs_arg &
+            victim_pid=$!
+            "./$bindir/tools/wsel_cli" serve submit \
+                --socket "$servedir/serve.sock" \
+                --insns 5000 --cores 2 --limit 40 --shard-size 16 \
+                --wait 1
+            kill -TERM "$serve_pid"
+            wait "$serve_pid"
+            for pid in $worker_pids; do
+                wait "$pid" || true
+            done
+            wait "$victim_pid" && exit 1 || true # must have died
+            test -s "$store"/c-*/manifest.bin
+            for shard in "$servedir"/inproc/shard-*.bin; do
+                cmp "$shard" "$store"/c-*/"${shard##*/}"
+            done
         done
-        WSEL_KILL_POINT=population.cell:3 \
-            "./$bindir/tools/wsel_worker" \
-            --socket "$servedir/serve.sock" \
-            --cache-dir "$servedir/cache" &
-        victim_pid=$!
-        "./$bindir/tools/wsel_cli" serve submit \
-            --socket "$servedir/serve.sock" \
-            --insns 5000 --cores 2 --limit 40 --shard-size 16 \
-            --wait 1
-        kill -TERM "$serve_pid"
-        wait "$serve_pid"
-        for pid in $worker_pids; do
-            wait "$pid" || true
-        done
-        wait "$victim_pid" && exit 1 || true # must have died
-        test -s "$servedir"/store/c-*/manifest.bin
         rm -rf "$servedir"
-        echo "==> distributed smoke passed under $preset"
+        echo "==> distributed smoke (jobs 1 + default, vs in-process) passed under $preset"
     fi
 
     if [ "$preset" = "release" ]; then

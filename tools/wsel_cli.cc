@@ -877,10 +877,10 @@ cmdPopulation(const Args &args)
     for (const PopulationPairSummary &p : r.pairs) {
         const StreamedWorkloadStrata strata(
             p.sketch, p.d.count(), WorkloadStrataConfig{});
-        std::printf("%-12s %+10.6f %10.6f %8.3f %8.3f %8zu %7zu\n",
+        std::printf("%-12s %+10.6f %10.6f %8.3f %8.3f %8s %7zu\n",
                     p.spec.label.c_str(), p.d.mean(),
                     p.d.stddevPopulation(), p.cv(), p.inverseCv(),
-                    requiredSampleSize(p.cv()),
+                    requiredSampleSizeText(p.cv()).c_str(),
                     strata.strataCount());
     }
     std::printf("\n%llu cells simulated (%llu resumed), "
@@ -1018,8 +1018,8 @@ cmdAnalyze(const Args &args)
     std::printf("mean d(w) = %+.6f  sigma = %.6f  cv = %.3f  "
                 "1/cv = %.3f\n",
                 ds.mu, ds.sigma, ds.cv, ds.inverseCv());
-    std::printf("eq.(8) random-sample size: %zu\n",
-                requiredSampleSize(ds.cv));
+    std::printf("eq.(8) random-sample size: %s\n",
+                requiredSampleSizeText(ds.cv).c_str());
     switch (classifyCv(ds.cv)) {
       case CvRegime::Equivalent:
         std::printf("regime: |cv| > 10 -> machines are "

@@ -6,7 +6,9 @@
  *   wsel_worker --socket PATH [--cache-dir DIR] [--jobs N]
  *       connect to the coordinator at PATH and lease shards until
  *       told to shut down (exit 0) or the coordinator disappears
- *       (exit 1)
+ *       (exit 1); each leased shard's rows run on N threads
+ *       (default 0: $WSEL_JOBS, else every hardware thread), and
+ *       the shard is committed whole
  *
  *   wsel_worker --mkdir-race DIR
  *       test helper: create the directory tree DIR through
@@ -37,7 +39,7 @@ main(int argc, char **argv)
     std::string socket_path;
     std::string cache_dir;
     std::string mkdir_race;
-    std::size_t jobs = 1;
+    std::size_t jobs = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string key = argv[i];
@@ -59,6 +61,9 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: wsel_worker --socket PATH "
                          "[--cache-dir DIR] [--jobs N]\n"
+                         "       --jobs N  threads over a leased "
+                         "shard's rows (0 = $WSEL_JOBS, else all "
+                         "hardware threads; default 0)\n"
                          "       wsel_worker --mkdir-race DIR\n");
             return 2;
         }
@@ -78,7 +83,7 @@ main(int argc, char **argv)
         serve::WorkerOptions opts;
         opts.socketPath = socket_path;
         opts.cacheDir = cache_dir;
-        opts.jobs = jobs == 0 ? 1 : jobs;
+        opts.jobs = jobs;
         return serve::runWorker(opts);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "wsel_worker: %s\n", e.what());
